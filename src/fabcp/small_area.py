@@ -372,61 +372,78 @@ def eb_variances(
 class _RhoProfile:
     """Whitened eigenbasis of one candidate rho, shared across eta2 values.
 
-    With ``M = eta2 * G + diag(d)`` and ``Gt = d^-1/2 G d^-1/2 = Q L Q^T``,
-    every quantity the Gaussian likelihood needs reduces to diagonal
-    weights ``1 / (eta2 * L + 1)`` in the rotated coordinates, so the
-    inner eta2 search costs O(J p^2) per evaluation and the covariance is
-    positive definite for every eta2 >= 0 by construction.
+    The SAR precision ``Q = (I - rho W)(I - rho W^T)`` is formed directly,
+    never inverted. With ``M = eta2 * G + diag(d)``, ``G = Q^-1`` and
+    ``S = d^1/2 Q d^1/2 = U diag(mu) U^T``, the whitened covariance
+    ``d^-1/2 G d^-1/2`` has the same eigenvectors and eigenvalues
+    ``1 / mu``. Every quantity the Gaussian likelihood needs then reduces
+    to diagonal weights ``mu / (eta2 + mu)`` in the rotated coordinates, so
+    the inner eta2 search costs O(J p^2) per evaluation and the covariance
+    is positive definite for every eta2 >= 0 by construction.
+
+    Raises ``ValueError`` when ``(I - rho W)`` is numerically singular.
     """
 
-    def __init__(self, G: np.ndarray, d: np.ndarray, ybar: np.ndarray, X: np.ndarray):
-        self.J = ybar.size
-        s = 1.0 / np.sqrt(d)
-        lam, Q = np.linalg.eigh(_zap_tiny(G * np.outer(s, s)))
-        self.lam = np.maximum(lam, 0.0)
-        self.Xt = Q.T @ (X * s[:, None])
-        self.yt = Q.T @ (ybar * s)
+    def __init__(self, rho: float, W: np.ndarray, d: np.ndarray, ybar: np.ndarray, X: np.ndarray):
+        if not -1.0 < rho < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+        self.J, p = X.shape
+        A = np.eye(self.J) - rho * W
+        self.sqrt_d = np.sqrt(d)
+        self.mu, self.U = np.linalg.eigh(_zap_tiny((A @ A.T) * np.outer(self.sqrt_d, self.sqrt_d)))
+        if not self.mu[0] > 0.0:
+            raise ValueError(f"(I - rho W) is numerically singular at rho={rho}")
+        # Eigenvalues of the whitened covariance; ``1 / (eta2 * lam + 1)``
+        # is the weight ``mu / (eta2 + mu)`` and ``log(eta2 * lam + 1)`` the
+        # log-determinant term ``log(eta2 + mu) - log(mu)`` without the
+        # cancellation between two large sums.
+        self.lam = 1.0 / self.mu
+        s = 1.0 / self.sqrt_d
+        self.Xt = self.U.T @ (X * s[:, None])
+        self.yt = self.U.T @ (ybar * s)
+        # Per-eigenvector products, so the eta2 scan is two matmuls.
+        self.XtXt = (self.Xt[:, :, None] * self.Xt[:, None, :]).reshape(self.J, p * p)
+        self.Xtyt = self.Xt * self.yt[:, None]
         self.logdet_d = float(np.sum(np.log(d)))
 
-    def loglik(self, eta2: float) -> tuple[float, np.ndarray]:
-        """GLS-profiled log likelihood and the profiling beta at eta2."""
-        w = 1.0 / (eta2 * self.lam + 1.0)
-        Xw = self.Xt * w[:, None]
-        beta = np.linalg.solve(self.Xt.T @ Xw, Xw.T @ self.yt)
-        z = self.yt - self.Xt @ beta
-        quad = float(np.sum(w * z * z))
-        logdet = self.logdet_d + float(np.sum(np.log(eta2 * self.lam + 1.0)))
-        ll = -0.5 * (self.J * math.log(2.0 * math.pi) + logdet + quad)
-        return ll, beta
-
-    def loglik_batch(self, eta2s: np.ndarray) -> np.ndarray:
-        """Profiled log likelihood at many eta2 values in one pass."""
-        w = 1.0 / (eta2s[:, None] * self.lam[None, :] + 1.0)
-        A = np.einsum("kj,jp,jq->kpq", w, self.Xt, self.Xt)
-        b = np.einsum("kj,jp,j->kp", w, self.Xt, self.yt)
-        beta = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    def loglik_batch(self, eta2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """GLS-profiled log likelihoods and profiling betas at many eta2 values."""
+        p = self.Xt.shape[1]
+        t = eta2s[:, None] * self.lam[None, :] + 1.0
+        w = 1.0 / t
+        XwX = (w @ self.XtXt).reshape(-1, p, p)
+        beta = np.linalg.solve(XwX, (w @ self.Xtyt)[:, :, None])[:, :, 0]
         z = self.yt[None, :] - beta @ self.Xt.T
         quad = np.sum(w * z * z, axis=1)
-        logdet = self.logdet_d + np.sum(np.log(eta2s[:, None] * self.lam[None, :] + 1.0), axis=1)
-        return -0.5 * (self.J * math.log(2.0 * math.pi) + logdet + quad)
+        logdet = self.logdet_d + np.sum(np.log(t), axis=1)
+        return -0.5 * (self.J * math.log(2.0 * math.pi) + logdet + quad), beta
 
-    def max_eta2(self, rounds: int = 3) -> tuple[float, float]:
+    def max_eta2(self, rounds: int = 3) -> tuple[float, float, np.ndarray]:
         """Maximize the profiled likelihood over eta2 by zooming log grids.
 
         A coarse scan over log eta2 in [-14, 6] followed by ``rounds - 1``
         zooms onto the incumbent's grid cell; derivative-free and immune
         to the flat left tail when the best eta2 is effectively zero.
+        Returns the maximizing eta2, its log likelihood and its GLS beta.
         """
         lo, hi = -14.0, 6.0
-        best = 0.0
         for _ in range(rounds):
             grid = np.linspace(lo, hi, 41)
-            lls = self.loglik_batch(np.exp(grid))
+            eta2s = np.exp(grid)
+            lls, betas = self.loglik_batch(eta2s)
             i = int(np.argmax(lls))
-            best = float(grid[i])
             span = grid[1] - grid[0]
-            lo, hi = best - span, best + span
-        return math.exp(best), float(self.loglik_batch(np.array([math.exp(best)]))[0])
+            lo, hi = grid[i] - span, grid[i] + span
+        return float(eta2s[i]), float(lls[i]), betas[i]
+
+    def blup(self, eta2: float, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Shrinkage estimate ``X beta + eta2 G M^-1 (ybar - X beta)``.
+
+        In the eigenbasis ``eta2 G M^-1 r = eta2 d^1/2 U [U^T d^-1/2 r / (eta2 + mu)]``,
+        and ``U^T d^-1/2 r`` is the rotated residual ``yt - Xt beta``.
+        """
+        z = self.yt - self.Xt @ beta
+        return X @ beta + eta2 * self.sqrt_d * (self.U @ (z / (eta2 + self.mu)))
 
 
 def mean_model_loglik(
@@ -448,8 +465,13 @@ def mean_model_loglik(
     return -0.5 * (J * math.log(2.0 * math.pi) + logdet + float(r @ cho_solve(cf, r)))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) -> tuple:
+    """Golden-section maximization of a unimodal function on [lo, hi].
+
+    ``f`` returns ``(value, payload)``. The search compares values and
+    returns ``(x, value, payload)`` at the best point, so the caller keeps
+    what it computed there without evaluating it again.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -458,7 +480,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) 
     for _ in range(max_iter):
         if b - a < tol:
             break
-        if fc > fd:
+        if fc[0] > fd[0]:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
@@ -466,7 +488,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) 
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+    return (c, *fc) if fc[0] > fd[0] else (d, *fd)
 
 
 def fit_mean_model(
@@ -499,27 +521,22 @@ def fit_mean_model(
         raise ValueError("covariate matrix is rank deficient")
     if np.any(d <= 0.0):
         raise ValueError("sampling variances must be positive")
+    _check_weights(W)
 
-    def profile_rho(rho: float) -> float:
+    def profile_rho(rho: float) -> tuple[float, _RhoProfile | None]:
         try:
-            G = sar_covariance(rho, W)
+            profile = _RhoProfile(rho, W, d, ybar, X)
         except ValueError:
-            return -math.inf
-        return _RhoProfile(G, d, ybar, X).max_eta2(rounds=3)[1]
+            return -math.inf, None
+        return profile.max_eta2(rounds=3)[1], profile
 
-    rho_hat, best_ll = _golden_max(profile_rho, rho_bounds[0], rho_bounds[1], tol=5e-3)
+    # The final fit at rho_hat reuses the eigenbasis the search built there.
+    rho_hat, best_ll, profile = _golden_max(profile_rho, rho_bounds[0], rho_bounds[1], tol=5e-3)
     if not math.isfinite(best_ll):
         raise EstimationError("no candidate rho admits a positive-definite covariance")
 
-    G = sar_covariance(rho_hat, W)
-    profile = _RhoProfile(G, d, ybar, X)
-    eta2_hat, ll = profile.max_eta2(rounds=5)
-    _, beta_hat = profile.loglik(eta2_hat)
-
-    # Shrinkage (BLUP) estimate of the area means under the fitted model.
-    M = eta2_hat * G + np.diag(d)
-    r = ybar - X @ beta_hat
-    theta_hat = X @ beta_hat + eta2_hat * (G @ cho_solve(cho_factor(M, lower=True), r))
+    eta2_hat, ll, beta_hat = profile.max_eta2(rounds=5)
+    theta_hat = profile.blup(eta2_hat, beta_hat, X)
     return MeanModelFit(beta=beta_hat, eta2=eta2_hat, rho=float(rho_hat), theta=theta_hat, loglik=ll)
 
 
@@ -542,8 +559,9 @@ def conditional_params(
     holds the fitted means of the other J-1 areas in table order. The
     prior mean is the Gaussian conditional mean of ``theta_j`` given those
     means under ``V = eta2 [(I - rho W)(I - rho W^T)]^-1``, and the prior
-    variance ratio is the Schur-complement conditional variance divided by
-    ``sigma2_hat_j``.
+    variance ratio is the conditional variance divided by ``sigma2_hat_j``.
+    Both are read from row ``j`` of the precision, in O(J^2) and without
+    inverting anything.
     """
     J = W.shape[0]
     if not 0 <= j < J:
@@ -553,22 +571,22 @@ def conditional_params(
         raise ValueError(f"theta_hat must have J-1={J-1} entries, got {theta_hat.size}")
     if sigma2_hat_j <= 0.0:
         raise ValueError("sigma2_hat_j must be positive")
+    if not -1.0 < rho_hat < 1.0:
+        raise ValueError(f"rho must lie in (-1, 1), got {rho_hat}")
+    if eta2_hat <= 0.0:
+        raise ValueError("eta2_hat must be positive")
+    _check_weights(W)
 
-    V = eta2_hat * sar_covariance(rho_hat, W)
-    rest = np.array([i for i in range(J) if i != j])
-    A = V[np.ix_(rest, rest)]
-    cross = V[rest, j]
-    try:
-        cf = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("conditioning covariance block is singular") from exc
-    w = cho_solve(cf, cross)
-    resid = theta_hat - X[rest] @ beta_hat
-    mu_j = float(X[j] @ beta_hat + resid @ w)
-    cond_var = float(V[j, j] - cross @ w)
-    if cond_var <= 0.0:
-        raise ValueError("conditional variance is not positive")
-    return AreaConformalParams(mu_j=mu_j, tau2_j=cond_var / sigma2_hat_j, sigma2_hat_j=sigma2_hat_j)
+    # Row j of the precision Q / eta2, Q = (I - rho W)(I - rho W^T), gives
+    # the conditional directly: var = eta2 / Q_jj and
+    # mean = x_j beta - Q_{j,-j} resid / Q_jj. Q_jj >= 1 because W has a
+    # zero diagonal, so the variance is always positive.
+    A = np.eye(J) - rho_hat * W
+    q = A @ A[j]
+    q_j = float(q[j])
+    resid = theta_hat - np.delete(X, j, axis=0) @ beta_hat
+    mu_j = float(X[j] @ beta_hat - np.delete(q, j) @ resid / q_j)
+    return AreaConformalParams(mu_j=mu_j, tau2_j=eta2_hat / q_j / sigma2_hat_j, sigma2_hat_j=sigma2_hat_j)
 
 
 # -- leave-one-area-out pipeline -----------------------------------------------
@@ -579,12 +597,34 @@ def exact_alpha(n: int) -> float:
     return math.floor((n + 1) / 3.0) / (n + 1)
 
 
-def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
+@dataclass(frozen=True)
+class _TableStats:
+    """Per-table quantities every leave-one-out fit reads, computed once."""
+
+    n: np.ndarray
+    s2: np.ndarray
+    ybar: np.ndarray
+    W: np.ndarray | None  # weights over all areas; None if the map is rejected
+
+    @classmethod
+    def of(cls, table: AreaTable) -> "_TableStats":
+        try:
+            W = sq_exp_weights(table.centroids)
+        except ValueError:
+            W = None
+        return cls(n=table.n, s2=table.s2, ybar=table.ybar, W=W)
+
+
+def loo_conformal_params(
+    table: AreaTable, j: int, stats: _TableStats | None = None
+) -> AreaConformalParams:
     """Estimate area ``j``'s conformal prior from every other area's data."""
+    if stats is None:
+        stats = _TableStats.of(table)
     J = table.J
     rest = [i for i in range(J) if i != j]
-    n = table.n
-    s2 = table.s2
+    n = stats.n
+    s2 = stats.s2
 
     s2_pairs = [(s2[i], int(n[i])) for i in rest if n[i] >= 2]
     a_hat, b_hat = estimate_ab(s2_pairs)
@@ -593,12 +633,14 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
 
     W_rest = sq_exp_weights(table.centroids[rest])
     fit = fit_mean_model(
-        table.ybar[rest],
+        stats.ybar[rest],
         sigma2_rest / n[rest],
         table.X[rest],
         W_rest,
     )
-    W_full = sq_exp_weights(table.centroids)
+    # A map the full weights reject is rejected here again, so each area
+    # falls back with the weights' own error.
+    W_full = stats.W if stats.W is not None else sq_exp_weights(table.centroids)
     return conditional_params(
         j, fit.beta, fit.eta2, fit.rho, fit.theta, W_full, table.X, sigma2_j
     )
@@ -606,6 +648,7 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
 
 def _predict_area(
     table: AreaTable,
+    stats: _TableStats,
     j: int,
     alpha_mode: float | str,
     methods: tuple[str, ...],
@@ -619,7 +662,7 @@ def _predict_area(
     fallback = False
     if "fab" in methods:
         try:
-            params = loo_conformal_params(table, j)
+            params = loo_conformal_params(table, j, stats)
         except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
             logger.warning("area %s: falling back to DTA (%s)", table.ids[j], exc)
             fallback = True
@@ -675,13 +718,16 @@ def area_pipeline(
         raise ValueError("the pipeline needs at least three areas")
     if isinstance(alpha_mode, str) and alpha_mode != "exact":
         raise ValueError(f"alpha_mode must be a float or 'exact', got {alpha_mode!r}")
-    targets = [j for j in range(table.J) if table.n[j] >= 2]
+    stats = _TableStats.of(table)
+    targets = [j for j in range(table.J) if stats.n[j] >= 2]
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(pool.map(lambda j: _predict_area(table, j, alpha_mode, methods), targets))
+            chunks = list(
+                pool.map(lambda j: _predict_area(table, stats, j, alpha_mode, methods), targets)
+            )
     else:
-        chunks = [_predict_area(table, j, alpha_mode, methods) for j in targets]
+        chunks = [_predict_area(table, stats, j, alpha_mode, methods) for j in targets]
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -20,6 +20,7 @@ from fabcp.small_area import (
     mean_model_loglik,
     sar_covariance,
     sq_exp_weights,
+    _RhoProfile,
 )
 from fabcp.baselines import dta_interval
 from fabcp.fab import fab_interval_from_precision
@@ -178,6 +179,33 @@ class TestFitMeanModel:
         ll_true = mean_model_loglik(table.ybar, d, table.X, W, beta_true, 0.8, 0.4)
         assert ll_fit >= ll_true - 1e-6
         assert fit.loglik == pytest.approx(ll_fit, abs=1e-8)
+
+    @staticmethod
+    def _map(seed, J=120):
+        rng = np.random.default_rng(seed)
+        table, truth = generate_table(J=J, n_range=(3, 12), beta=[1.0, 0.5],
+                                      eta2=0.6, rho=0.6, a=6.0, b=4.0, rng=rng, extent=8.0)
+        d = np.array(truth["sigma2"]) / table.n
+        return table, d, sq_exp_weights(table.centroids)
+
+    def test_profile_matches_covariance_form_loglik(self):
+        """The precision-form profile against the covariance-form oracle."""
+        table, d, W = self._map(75)
+        eta2s = np.array([math.exp(-14.0), 0.3, 50.0])
+        for rho in (-0.99, -0.5, 0.0, 0.7, 0.99):
+            lls, betas = _RhoProfile(rho, W, d, table.ybar, table.X).loglik_batch(eta2s)
+            for eta2, ll, beta in zip(eta2s, lls, betas):
+                want = mean_model_loglik(table.ybar, d, table.X, W, beta, float(eta2), rho)
+                assert ll == pytest.approx(want, rel=1e-10), (rho, eta2)
+
+    def test_blup_matches_covariance_form(self):
+        table, d, W = self._map(76)
+        fit = fit_mean_model(table.ybar, d, table.X, W)
+        G = sar_covariance(fit.rho, W)
+        M = fit.eta2 * G + np.diag(d)
+        r = table.ybar - table.X @ fit.beta
+        want = table.X @ fit.beta + fit.eta2 * (G @ np.linalg.solve(M, r))
+        np.testing.assert_allclose(fit.theta, want, rtol=1e-10, atol=1e-12)
 
     def test_rank_deficient_covariates_rejected(self):
         rng = np.random.default_rng(71)
