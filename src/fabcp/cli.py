@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -218,8 +217,7 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
         return EXIT_RANK_DEFICIENT
     alpha_mode: float | str = "exact" if args.alpha_mode == "exact" else args.alpha
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
-    n_jobs = int(os.environ.get("FABCP_THREADS", "1"))
-    records = area_pipeline(table, alpha_mode, methods, n_jobs=n_jobs)
+    records = area_pipeline(table, alpha_mode, methods)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dormqr, dstevd, dsytrd
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
@@ -277,7 +277,12 @@ def ab_marginal_loglik(a: float, b: float, s2_list: Sequence[tuple[float, int]])
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
     s2, n = _split_s2(s2_list)
-    half_post = (a + n - 1.0) / 2.0
+    return _ab_loglik(a, b, s2, (n - 1.0) / 2.0)
+
+
+def _ab_loglik(a: float, b: float, s2: np.ndarray, half_n1: np.ndarray) -> float:
+    """The kernel of :func:`ab_marginal_loglik`; ``half_n1`` is ``(n - 1) / 2``."""
+    half_post = a / 2.0 + half_n1
     return float(
         np.sum(gammaln(half_post))
         - s2.size * gammaln(a / 2.0)
@@ -311,7 +316,7 @@ def estimate_ab(s2_list: Sequence[tuple[float, int]], max_iter: int = 2000) -> t
     beta0 = m * (alpha0 - 1.0)
     x0 = np.log([2.0 * alpha0, 2.0 * beta0])
 
-    half_post = (n - 1.0) / 2.0  # added to a/2 inside the objective
+    half_n1 = (n - 1.0) / 2.0
 
     def clamp(x: np.ndarray) -> tuple[float, float]:
         return (
@@ -321,14 +326,7 @@ def estimate_ab(s2_list: Sequence[tuple[float, int]], max_iter: int = 2000) -> t
 
     def neg_ll(x: np.ndarray) -> float:
         la, lb = clamp(x)
-        a, b = math.exp(la), math.exp(lb)
-        hp = a / 2.0 + half_post
-        return -(
-            np.sum(gammaln(hp))
-            - s2.size * gammaln(a / 2.0)
-            + s2.size * (a / 2.0) * math.log(b / 2.0)
-            - np.sum(hp * np.log((b + s2) / 2.0))
-        )
+        return -_ab_loglik(math.exp(la), math.exp(lb), s2, half_n1)
 
     res = minimize(
         neg_ll,
@@ -369,42 +367,100 @@ def eb_variances(
 # -- spatial mean model ---------------------------------------------------------
 
 
+class _SarParts:
+    """The rho-free parts of one fit's whitened SAR precision.
+
+    ``W`` has a zero diagonal, so ``Q = (I - rho W)(I - rho W^T)`` equals
+    ``I - rho (W + W^T) + rho^2 W W^T`` and its whitened form is
+
+        S(rho) = d^1/2 Q d^1/2 = diag(d) - rho P + rho^2 R,
+        P = (W + W^T) o sqrt(d) sqrt(d)^T,  R = (W W^T) o sqrt(d) sqrt(d)^T.
+
+    ``P`` and ``R`` are built once per fit, so each candidate rho assembles
+    ``S`` in O(J^2). ``B = [X d^-1/2, ybar d^-1/2]`` holds the p + 1
+    whitened data vectors, the only ones the eigenbasis is ever applied to.
+    """
+
+    def __init__(self, W: np.ndarray, d: np.ndarray, ybar: np.ndarray, X: np.ndarray):
+        self.d = d
+        self.sqrt_d = np.sqrt(d)
+        outer = np.outer(self.sqrt_d, self.sqrt_d)
+        self.P = (W + W.T) * outer
+        self.R = (W @ W.T) * outer
+        self.B = np.column_stack([X, ybar]) / self.sqrt_d[:, None]
+        self.logdet_d = float(np.sum(np.log(d)))
+
+    def S(self, rho: float) -> np.ndarray:
+        S = rho * (rho * self.R - self.P)
+        S.flat[:: S.shape[0] + 1] += self.d
+        return _zap_tiny(S)
+
+
 class _RhoProfile:
     """Whitened eigenbasis of one candidate rho, shared across eta2 values.
 
-    The SAR precision ``Q = (I - rho W)(I - rho W^T)`` is formed directly,
-    never inverted. With ``M = eta2 * G + diag(d)``, ``G = Q^-1`` and
-    ``S = d^1/2 Q d^1/2 = U diag(mu) U^T``, the whitened covariance
-    ``d^-1/2 G d^-1/2`` has the same eigenvectors and eigenvalues
-    ``1 / mu``. Every quantity the Gaussian likelihood needs then reduces
-    to diagonal weights ``mu / (eta2 + mu)`` in the rotated coordinates, so
-    the inner eta2 search costs O(J p^2) per evaluation and the covariance
-    is positive definite for every eta2 >= 0 by construction.
+    The SAR precision is never inverted. With ``M = eta2 * G + diag(d)``,
+    ``G = Q^-1`` and ``S = d^1/2 Q d^1/2 = U diag(mu) U^T``, the whitened
+    covariance ``d^-1/2 G d^-1/2`` has the same eigenvectors and
+    eigenvalues ``1 / mu``. Every quantity the Gaussian likelihood needs
+    then reduces to diagonal weights ``mu / (eta2 + mu)`` in the rotated
+    coordinates, so the inner eta2 search costs O(J p^2) per evaluation
+    and the covariance is positive definite for every eta2 >= 0 by
+    construction.
 
-    Raises ``ValueError`` when ``(I - rho W)`` is numerically singular.
+    ``U`` is never formed. A Householder reduction ``S = H T H^T``
+    (``dsytrd``) and a tridiagonal eigensolve ``T = Z diag(mu) Z^T``
+    (``dstevd``) give ``U = H Z``. The likelihood only needs ``U^T`` applied
+    to the p + 1 whitened data vectors, ``Z^T (H^T B)``, and the BLUP only
+    ``U`` applied to one vector, ``H (Z v)``. ``H = diag(1, H')``, where
+    ``H'`` is the product of the J - 1 reflectors that ``dsytrd`` leaves
+    below the subdiagonal, so both products go through ``dormqr`` on the
+    trailing J - 1 rows in O(J^2 p) instead of back-transforming all J
+    eigenvectors in O(J^3).
+
+    Raises ``ValueError`` when ``(I - rho W)`` is numerically singular or
+    LAPACK reports a failure.
     """
 
-    def __init__(self, rho: float, W: np.ndarray, d: np.ndarray, ybar: np.ndarray, X: np.ndarray):
+    def __init__(self, rho: float, parts: _SarParts):
         if not -1.0 < rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-        self.J, p = X.shape
-        A = np.eye(self.J) - rho * W
-        self.sqrt_d = np.sqrt(d)
-        self.mu, self.U = np.linalg.eigh(_zap_tiny((A @ A.T) * np.outer(self.sqrt_d, self.sqrt_d)))
+        # S is symmetric, so its transpose is the Fortran-ordered buffer
+        # dsytrd overwrites in place.
+        c, diag, offdiag, self.tau, info = dsytrd(parts.S(rho).T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise ValueError(f"tridiagonal reduction failed at rho={rho} (info={info})")
+        self.reflectors = c[1:, :-1]  # H', one reflector per column
+        self.mu, self.Z, info = dstevd(diag, offdiag)
+        if info != 0:
+            raise ValueError(f"tridiagonal eigensolve failed at rho={rho} (info={info})")
         if not self.mu[0] > 0.0:
             raise ValueError(f"(I - rho W) is numerically singular at rho={rho}")
+        self.J = self.mu.size
+        self.sqrt_d = parts.sqrt_d
+        self.logdet_d = parts.logdet_d
         # Eigenvalues of the whitened covariance; ``1 / (eta2 * lam + 1)``
         # is the weight ``mu / (eta2 + mu)`` and ``log(eta2 * lam + 1)`` the
         # log-determinant term ``log(eta2 + mu) - log(mu)`` without the
         # cancellation between two large sums.
         self.lam = 1.0 / self.mu
-        s = 1.0 / self.sqrt_d
-        self.Xt = self.U.T @ (X * s[:, None])
-        self.yt = self.U.T @ (ybar * s)
+        Bt = self.Z.T @ self._apply_h(parts.B, "T")
+        self.Xt = np.ascontiguousarray(Bt[:, :-1])
+        self.yt = Bt[:, -1].copy()
+        p = self.Xt.shape[1]
         # Per-eigenvector products, so the eta2 scan is two matmuls.
         self.XtXt = (self.Xt[:, :, None] * self.Xt[:, None, :]).reshape(self.J, p * p)
         self.Xtyt = self.Xt * self.yt[:, None]
-        self.logdet_d = float(np.sum(np.log(d)))
+
+    def _apply_h(self, C: np.ndarray, trans: str) -> np.ndarray:
+        """``H^T C`` (``trans="T"``) or ``H C`` (``trans="N"``) for a J x k matrix ``C``."""
+        out = np.array(C, dtype=float, order="F")
+        out[1:], _, info = dormqr(
+            "L", trans, self.reflectors, self.tau, out[1:], max(1, out.shape[1])
+        )
+        if info != 0:
+            raise ValueError(f"applying the Householder reflectors failed (info={info})")
+        return out
 
     def loglik_batch(self, eta2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """GLS-profiled log likelihoods and profiling betas at many eta2 values."""
@@ -440,10 +496,12 @@ class _RhoProfile:
         """Shrinkage estimate ``X beta + eta2 G M^-1 (ybar - X beta)``.
 
         In the eigenbasis ``eta2 G M^-1 r = eta2 d^1/2 U [U^T d^-1/2 r / (eta2 + mu)]``,
-        and ``U^T d^-1/2 r`` is the rotated residual ``yt - Xt beta``.
+        ``U^T d^-1/2 r`` is the rotated residual ``yt - Xt beta``, and ``U v``
+        is computed as ``H (Z v)``.
         """
         z = self.yt - self.Xt @ beta
-        return X @ beta + eta2 * self.sqrt_d * (self.U @ (z / (eta2 + self.mu)))
+        v = self.Z @ (z / (eta2 + self.mu))
+        return X @ beta + eta2 * self.sqrt_d * self._apply_h(v[:, None], "N")[:, 0]
 
 
 def mean_model_loglik(
@@ -522,10 +580,11 @@ def fit_mean_model(
     if np.any(d <= 0.0):
         raise ValueError("sampling variances must be positive")
     _check_weights(W)
+    parts = _SarParts(W, d, ybar, X)
 
     def profile_rho(rho: float) -> tuple[float, _RhoProfile | None]:
         try:
-            profile = _RhoProfile(rho, W, d, ybar, X)
+            profile = _RhoProfile(rho, parts)
         except ValueError:
             return -math.inf, None
         return profile.max_eta2(rounds=3)[1], profile
@@ -693,7 +752,6 @@ def area_pipeline(
     table: AreaTable,
     alpha_mode: float | str = "exact",
     methods: tuple[str, ...] = ("fab",),
-    n_jobs: int = 1,
 ) -> list[AreaPrediction]:
     """Leave-one-area-out prediction intervals for every area with ``n_j >= 2``.
 
@@ -706,9 +764,6 @@ def area_pipeline(
     methods : tuple of {"fab", "dta"}
         Emits one record per area per method; ``("fab", "dta")`` gives the
         paired rows used for width comparisons.
-    n_jobs : int
-        Number of worker threads; per-area fits are independent and
-        results are returned in table order regardless.
 
     Areas whose hyperparameter fit fails get a DTA interval flagged as a
     fallback, so every returned record keeps the conformal coverage
@@ -719,16 +774,12 @@ def area_pipeline(
     if isinstance(alpha_mode, str) and alpha_mode != "exact":
         raise ValueError(f"alpha_mode must be a float or 'exact', got {alpha_mode!r}")
     stats = _TableStats.of(table)
-    targets = [j for j in range(table.J) if stats.n[j] >= 2]
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(
-                pool.map(lambda j: _predict_area(table, stats, j, alpha_mode, methods), targets)
-            )
-    else:
-        chunks = [_predict_area(table, stats, j, alpha_mode, methods) for j in targets]
-    return [rec for chunk in chunks for rec in chunk]
+    return [
+        rec
+        for j in range(table.J)
+        if stats.n[j] >= 2
+        for rec in _predict_area(table, stats, j, alpha_mode, methods)
+    ]
 
 
 # -- synthetic data -------------------------------------------------------------

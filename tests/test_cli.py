@@ -176,24 +176,6 @@ class TestSmallArea:
         for methods in by_area.values():
             assert set(methods) == {"fab", "dta"}
 
-    def test_thread_count_env_var(self, dataset, tmp_path, capsys, monkeypatch):
-        areas, samples = dataset
-        monkeypatch.setenv("FABCP_THREADS", "2")
-        out = tmp_path / "threaded.csv"
-        code, _, _ = run_cli(
-            capsys, "small-area", "--areas", areas, "--samples", samples,
-            "--alpha-mode", "exact", "--method", "both", "--output", str(out),
-        )
-        assert code == 0
-        monkeypatch.delenv("FABCP_THREADS")
-        serial = tmp_path / "serial.csv"
-        code, _, _ = run_cli(
-            capsys, "small-area", "--areas", areas, "--samples", samples,
-            "--alpha-mode", "exact", "--method", "both", "--output", str(serial),
-        )
-        assert code == 0
-        assert out.read_text() == serial.read_text()
-
     def test_unknown_area_id_exits_two(self, dataset, tmp_path, capsys):
         areas, samples = dataset
         bad = tmp_path / "bad_samples.csv"

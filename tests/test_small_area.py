@@ -1,10 +1,12 @@
 """Tests for the spatial working model and leave-one-area-out pipeline."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from fabcp import small_area
 from fabcp.small_area import (
     AreaTable,
     SpatialSpec,
@@ -21,6 +23,7 @@ from fabcp.small_area import (
     sar_covariance,
     sq_exp_weights,
     _RhoProfile,
+    _SarParts,
 )
 from fabcp.baselines import dta_interval
 from fabcp.fab import fab_interval_from_precision
@@ -181,31 +184,60 @@ class TestFitMeanModel:
         assert fit.loglik == pytest.approx(ll_fit, abs=1e-8)
 
     @staticmethod
-    def _map(seed, J=120):
+    def _map(seed, J=120, extent=8.0):
         rng = np.random.default_rng(seed)
         table, truth = generate_table(J=J, n_range=(3, 12), beta=[1.0, 0.5],
-                                      eta2=0.6, rho=0.6, a=6.0, b=4.0, rng=rng, extent=8.0)
+                                      eta2=0.6, rho=0.6, a=6.0, b=4.0, rng=rng, extent=extent)
         d = np.array(truth["sigma2"]) / table.n
         return table, d, sq_exp_weights(table.centroids)
 
     def test_profile_matches_covariance_form_loglik(self):
-        """The precision-form profile against the covariance-form oracle."""
-        table, d, W = self._map(75)
+        """The precision-form profile against the covariance-form oracle.
+
+        The second map has J = p + 2 = 4 areas, the smallest a fit admits,
+        where the Householder reflectors leave a 3 x 3 block.
+        """
         eta2s = np.array([math.exp(-14.0), 0.3, 50.0])
-        for rho in (-0.99, -0.5, 0.0, 0.7, 0.99):
-            lls, betas = _RhoProfile(rho, W, d, table.ybar, table.X).loglik_batch(eta2s)
-            for eta2, ll, beta in zip(eta2s, lls, betas):
-                want = mean_model_loglik(table.ybar, d, table.X, W, beta, float(eta2), rho)
-                assert ll == pytest.approx(want, rel=1e-10), (rho, eta2)
+        for table, d, W in (self._map(75), self._map(77, J=4, extent=1.5)):
+            parts = _SarParts(W, d, table.ybar, table.X)
+            for rho in (-0.99, -0.5, 0.0, 0.7, 0.99):
+                lls, betas = _RhoProfile(rho, parts).loglik_batch(eta2s)
+                for eta2, ll, beta in zip(eta2s, lls, betas):
+                    want = mean_model_loglik(table.ybar, d, table.X, W, beta, float(eta2), rho)
+                    assert ll == pytest.approx(want, rel=1e-10), (table.J, rho, eta2)
 
     def test_blup_matches_covariance_form(self):
-        table, d, W = self._map(76)
-        fit = fit_mean_model(table.ybar, d, table.X, W)
-        G = sar_covariance(fit.rho, W)
-        M = fit.eta2 * G + np.diag(d)
-        r = table.ybar - table.X @ fit.beta
-        want = table.X @ fit.beta + fit.eta2 * (G @ np.linalg.solve(M, r))
-        np.testing.assert_allclose(fit.theta, want, rtol=1e-10, atol=1e-12)
+        for table, d, W in (self._map(76), self._map(77, J=4, extent=1.5)):
+            fit = fit_mean_model(table.ybar, d, table.X, W)
+            G = sar_covariance(fit.rho, W)
+            M = fit.eta2 * G + np.diag(d)
+            r = table.ybar - table.X @ fit.beta
+            want = table.X @ fit.beta + fit.eta2 * (G @ np.linalg.solve(M, r))
+            np.testing.assert_allclose(fit.theta, want, rtol=1e-10, atol=1e-12)
+            assert fit.loglik == pytest.approx(
+                mean_model_loglik(table.ybar, d, table.X, W, fit.beta, fit.eta2, fit.rho),
+                rel=1e-10,
+            )
+
+    @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.99])
+    def test_tridiagonal_profile_eigenvalues_and_rotation(self, rho):
+        """The profile's spectrum and rotated data against direct computations.
+
+        Eigenvalues are compared on the scale of the spectrum: both solvers
+        are accurate to a few ulps of ``max(mu)``, which at rho = 0.99 is
+        about 1e-11 relative to the smallest eigenvalue.
+        """
+        table, d, W = self._map(75)
+        parts = _SarParts(W, d, table.ybar, table.X)
+        profile = _RhoProfile(rho, parts)
+        want = np.linalg.eigvalsh(parts.S(rho))
+        np.testing.assert_allclose(profile.mu, want, rtol=0.0, atol=1e-12 * want[-1])
+        # U is orthogonal, so the rotation keeps every inner product of the
+        # whitened data: Xt^T Xt = X^T D^-1 X and |yt|^2 = sum ybar^2 / d.
+        np.testing.assert_allclose(
+            profile.Xt.T @ profile.Xt, table.X.T @ (table.X / d[:, None]), rtol=1e-12
+        )
+        assert profile.yt @ profile.yt == pytest.approx(np.sum(table.ybar**2 / d), rel=1e-12)
 
     def test_rank_deficient_covariates_rejected(self):
         rng = np.random.default_rng(71)
@@ -391,15 +423,25 @@ class TestAreaPipeline:
             assert (r.interval.lower, r.interval.upper) == (twin.lower, twin.upper)
             assert math.isnan(r.mu_j)
 
-    def test_parallel_matches_serial(self):
+    def test_pipeline_call_counts(self, monkeypatch):
+        """Each fit makes one tridiagonal reduction per rho evaluation and no eigh."""
         table, _ = self._table(seed=86, J=8)
-        serial = area_pipeline(table, "exact", methods=("fab", "dta"), n_jobs=1)
-        threaded = area_pipeline(table, "exact", methods=("fab", "dta"), n_jobs=2)
-        assert [
-            (r.area_id, r.method, r.interval.lower, r.interval.upper) for r in serial
-        ] == [
-            (r.area_id, r.method, r.interval.lower, r.interval.upper) for r in threaded
-        ]
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(small_area, "dsytrd", counted("dsytrd", small_area.dsytrd))
+        monkeypatch.setattr(small_area, "fit_mean_model", counted("fit", small_area.fit_mean_model))
+        records = area_pipeline(table, "exact", methods=("fab", "dta"))
+        assert not any(r.fallback for r in records)
+        assert counts["fit"] == int(np.sum(table.n >= 2)) > 0
+        assert counts["eigh"] == 0
+        assert counts["dsytrd"] == 15 * counts["fit"]
 
 
 class TestSpatialSpec:
