@@ -16,7 +16,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
+from .fab import _reflect, fab_interval_from_precision
 from .intervals import PredictionInterval
+from .working_model import _as_sample
 
 __all__ = [
     "PivotSpec",
@@ -25,6 +27,8 @@ __all__ = [
     "student_t_quantile",
     "dta_g",
     "dta_interval",
+    "pivot_bounds",
+    "eb_bounds",
     "pivot_interval",
     "eb_interval",
 ]
@@ -197,9 +201,7 @@ def dta_g(y_i: float, sample_sum: float, n: int) -> float:
     """
     if n < 2:
         raise ValueError("dta_g requires n >= 2")
-    # Same evaluation order as the zero-precision reflection in fab.g_map so
-    # the diffuse-limit identity is bit-exact.
-    return (2.0 * sample_sum - (n + 1.0) * y_i) / (n - 1.0)
+    return _reflect(y_i, sample_sum, n + 1.0)
 
 
 def dta_interval(sample: Sequence[float] | np.ndarray, alpha: float) -> PredictionInterval:
@@ -207,38 +209,56 @@ def dta_interval(sample: Sequence[float] | np.ndarray, alpha: float) -> Predicti
 
     The endpoints are the k-th and (2n-k+1)-th order statistics of the
     pooled values ``{y_i} U {dta_g(y_i)}`` with ``k = floor(alpha*(n+1))``;
-    ``k = 0`` yields the whole real line.
+    ``k = 0`` yields the whole real line. This is the FAB interval with
+    zero prior precision, computed by the same kernel; it needs ``n >= 2``.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("dta_interval requires a one-dimensional sample with n >= 2")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("sample contains non-finite values")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    n = y.size
-    k = int(math.floor(alpha * (n + 1)))
-    achieved = 1.0 - k / (n + 1)
-    if k == 0:
-        return PredictionInterval(-math.inf, math.inf, alpha, achieved, k=0)
-    s = math.fsum(y)
-    v = np.concatenate([y, np.array([dta_g(v_i, s, n) for v_i in y])])
-    v.sort()
-    return PredictionInterval(float(v[k - 1]), float(v[2 * n - k]), alpha, achieved, k=k)
+    return fab_interval_from_precision(sample, 0.0, 0.0, alpha)
 
 
 # -- parametric intervals -----------------------------------------------------
 
 
-def _variance_and_quantile(y: np.ndarray, alpha: float, sigma2: float | None) -> tuple[float, float]:
-    n = y.size
+def _variance_and_quantile(
+    samples: np.ndarray, alpha: float, sigma2: float | None
+) -> tuple[np.ndarray, float]:
+    """Per-row variance and two-sided quantile: known ``sigma2`` with z, or s^2 with t."""
+    n = samples.shape[1]
     if sigma2 is not None:
-        return sigma2, normal_quantile(1.0 - alpha / 2.0)
+        return np.full(samples.shape[0], sigma2), normal_quantile(1.0 - alpha / 2.0)
     if n < 2:
         raise ValueError("estimated-variance mode requires n >= 2")
-    ybar = math.fsum(y) / n
-    s2 = math.fsum((v - ybar) ** 2 for v in y) / (n - 1)
-    return s2, student_t_quantile(1.0 - alpha / 2.0, n - 1)
+    return samples.var(axis=1, ddof=1), student_t_quantile(1.0 - alpha / 2.0, n - 1)
+
+
+def pivot_bounds(samples: np.ndarray, alpha: float, sigma2: float | None) -> np.ndarray:
+    """Pivot bounds ``ybar +/- q * sqrt(s2 * (1 + 1/n))`` for each row of ``samples``.
+
+    Returns an array of shape (rows, 2). ``sigma2=None`` estimates the
+    variance per row and needs ``n >= 2``.
+    """
+    n = samples.shape[1]
+    s2, q = _variance_and_quantile(samples, alpha, sigma2)
+    ybar = samples.mean(axis=1)
+    half = q * np.sqrt(s2 * (1.0 + 1.0 / n))
+    return np.column_stack([ybar - half, ybar + half])
+
+
+def eb_bounds(
+    samples: np.ndarray, alpha: float, mu: float, tau2: float, sigma2: float | None
+) -> np.ndarray:
+    """Empirical-Bayes bounds for each row of ``samples``, shape (rows, 2).
+
+    A row with zero estimated variance gets ``[ybar, ybar]``, the s2 -> 0
+    limit of the interval.
+    """
+    n = samples.shape[1]
+    s2, q = _variance_and_quantile(samples, alpha, sigma2)
+    ybar = samples.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prec = 1.0 / tau2 + n / s2
+        center = np.where(s2 == 0.0, ybar, (mu / tau2 + ybar * n / s2) / prec)
+    half = q * np.sqrt(1.0 / prec + s2)
+    return np.column_stack([center - half, center + half])
 
 
 def pivot_interval(sample: Sequence[float] | np.ndarray, spec: PivotSpec) -> PredictionInterval:
@@ -246,14 +266,9 @@ def pivot_interval(sample: Sequence[float] | np.ndarray, spec: PivotSpec) -> Pre
 
     In known-variance mode the width does not depend on the sample values.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("pivot_interval requires a nonempty one-dimensional sample")
-    n = y.size
-    sigma2, q = _variance_and_quantile(y, spec.alpha, spec.sigma2)
-    ybar = math.fsum(y) / n
-    half = q * math.sqrt(sigma2 * (1.0 + 1.0 / n))
-    return PredictionInterval(ybar - half, ybar + half, spec.alpha, 1.0 - spec.alpha)
+    y = _as_sample(sample)
+    lower, upper = pivot_bounds(y[None, :], spec.alpha, spec.sigma2)[0]
+    return PredictionInterval(float(lower), float(upper), spec.alpha, 1.0 - spec.alpha)
 
 
 def eb_interval(sample: Sequence[float] | np.ndarray, spec: EBSpec) -> PredictionInterval:
@@ -262,15 +277,9 @@ def eb_interval(sample: Sequence[float] | np.ndarray, spec: EBSpec) -> Predictio
     The center is ``theta_tilde = (mu/tau2 + ybar*n/sigma2) / (1/tau2 +
     n/sigma2)`` and the half-width is ``q * sqrt((1/tau2 + n/sigma2)**-1 +
     sigma2)``. In the known-variance z variant this is strictly narrower
-    than the pivot interval for any finite ``tau2``.
+    than the pivot interval for any finite ``tau2``. A constant sample in
+    estimated-variance mode gives the degenerate interval ``[ybar, ybar]``.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("eb_interval requires a nonempty one-dimensional sample")
-    n = y.size
-    sigma2, q = _variance_and_quantile(y, spec.alpha, spec.sigma2)
-    ybar = math.fsum(y) / n
-    prec = 1.0 / spec.tau2 + n / sigma2
-    center = (spec.mu / spec.tau2 + ybar * n / sigma2) / prec
-    half = q * math.sqrt(1.0 / prec + sigma2)
-    return PredictionInterval(center - half, center + half, spec.alpha, 1.0 - spec.alpha)
+    y = _as_sample(sample)
+    lower, upper = eb_bounds(y[None, :], spec.alpha, spec.mu, spec.tau2, spec.sigma2)[0]
+    return PredictionInterval(float(lower), float(upper), spec.alpha, 1.0 - spec.alpha)

@@ -25,9 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import PredictionInterval
-from .working_model import WorkingModelParams
+from .working_model import WorkingModelParams, _as_sample
 
-__all__ = ["SubRegion", "g_map", "fab_interval", "fab_interval_from_precision", "sub_regions"]
+__all__ = [
+    "SubRegion",
+    "g_map",
+    "fab_interval",
+    "fab_interval_from_precision",
+    "reflect_bounds",
+    "sub_regions",
+]
 
 
 @dataclass(frozen=True)
@@ -47,23 +54,50 @@ class SubRegion:
             raise ValueError("sub-region bounds out of order")
 
 
-def _check_sample(sample: Sequence[float] | np.ndarray) -> np.ndarray:
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("sample contains non-finite values")
-    return y
-
-
-def _reflect(y_i: float, s_prior: float, c: float) -> float:
-    """Reflection of ``y_i`` with fixed point ``s_prior / (c - 1)``.
+def _reflect(y_i: float | np.ndarray, s_prior: float | np.ndarray, c: float) -> float | np.ndarray:
+    """Reflection of ``y_i`` with fixed point ``s_prior / (c - 1)``, elementwise.
 
     ``s_prior`` is the precision-weighted prior mean plus the sample sum
-    and ``c = precision + n + 1``. Evaluation order matches
-    ``baselines.dta_g`` so the zero-precision limit is bit-exact.
+    and ``c = precision + n + 1``.
     """
     return (2.0 * s_prior - c * y_i) / (c - 2.0)
+
+
+def reflect_bounds(
+    samples: np.ndarray, sums: float | np.ndarray, mu: float, precision: float, k: int
+) -> np.ndarray:
+    """Order-statistic bounds of the pooled reflection candidates, one row per sample.
+
+    Parameters
+    ----------
+    samples : ndarray, shape (rows, n)
+        One sample per row.
+    sums : float or ndarray, shape (rows, 1)
+        The row sums of ``samples``, as the caller computes them.
+    mu, precision : float
+        Prior mean and prior precision ``1/tau2``; ``precision = 0`` is
+        the diffuse prior (the distance-to-average reflection) and needs
+        ``n >= 2``.
+    k : int
+        Rank cutoff ``floor(alpha*(n+1))``.
+
+    Returns
+    -------
+    ndarray, shape (rows, 2)
+        The k-th and (2n-k+1)-th order statistics of ``{y_i} U {g(y_i)}``
+        per row; ``-inf``/``+inf`` rows when ``k = 0``.
+    """
+    rows, n = samples.shape
+    if precision == 0.0 and n < 2:
+        raise ValueError("the diffuse prior requires n >= 2")
+    if k == 0:
+        # Every candidate's own score already satisfies <=, so the region
+        # with k = 0 accepts the whole real line.
+        return np.full((rows, 2), (-np.inf, np.inf))
+    c = precision + (n + 1.0)
+    v = np.concatenate([samples, _reflect(samples, mu * precision + sums, c)], axis=1)
+    v.sort(axis=1)
+    return v[:, [k - 1, 2 * n - k]]
 
 
 def g_map(y_i: float, sample_sum: float, n: int, mu: float, tau2: float) -> float:
@@ -107,27 +141,15 @@ def fab_interval_from_precision(
     ``precision = 0`` gives the diffuse prior (``mu`` is then irrelevant)
     and requires ``n >= 2``; any positive precision works from ``n = 1``.
     """
-    y = _check_sample(sample)
+    y = _as_sample(sample)
     n = y.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if precision < 0.0 or not math.isfinite(precision):
         raise ValueError(f"precision must be finite and nonnegative, got {precision}")
-    if precision == 0.0 and n < 2:
-        raise ValueError("the diffuse prior requires n >= 2")
-
     k = int(math.floor(alpha * (n + 1)))
-    achieved = 1.0 - k / (n + 1)
-    if k == 0:
-        # Every candidate's own score already satisfies <=, so the region
-        # with k = 0 accepts the whole real line.
-        return PredictionInterval(-math.inf, math.inf, alpha, achieved, k=0)
-
-    s_prior = mu * precision + math.fsum(y)
-    c = precision + (n + 1.0)
-    v = np.concatenate([y, np.array([_reflect(v_i, s_prior, c) for v_i in y])])
-    v.sort()
-    return PredictionInterval(float(v[k - 1]), float(v[2 * n - k]), alpha, achieved, k=k)
+    lower, upper = reflect_bounds(y[None, :], math.fsum(y), mu, precision, k)[0]
+    return PredictionInterval(float(lower), float(upper), alpha, 1.0 - k / (n + 1), k=k)
 
 
 def fab_interval(
@@ -148,13 +170,8 @@ def fab_interval(
 
 def sub_regions(sample: Sequence[float] | np.ndarray, params: WorkingModelParams) -> list[SubRegion]:
     """Per-observation acceptance intervals ``[min(y_i, g(y_i)), max(y_i, g(y_i))]``."""
-    y = _check_sample(sample)
-    n = y.size
+    y = _as_sample(sample)
     precision = 1.0 / params.tau2
-    s_prior = params.mu * precision + math.fsum(y)
-    c = precision + (n + 1.0)
-    out = []
-    for i, y_i in enumerate(y):
-        g_i = _reflect(float(y_i), s_prior, c)
-        out.append(SubRegion(index=i, lo=min(float(y_i), g_i), hi=max(float(y_i), g_i)))
-    return out
+    g = _reflect(y, params.mu * precision + math.fsum(y), precision + (y.size + 1.0))
+    lo, hi = np.minimum(y, g).tolist(), np.maximum(y, g).tolist()
+    return [SubRegion(index=i, lo=lo[i], hi=hi[i]) for i in range(y.size)]

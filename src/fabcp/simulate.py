@@ -19,7 +19,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .baselines import normal_quantile, student_t_quantile
+from .baselines import eb_bounds, pivot_bounds
+from .fab import reflect_bounds
 
 __all__ = [
     "SimConfig",
@@ -63,6 +64,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError(f"every sample size must be at least 1, got n_list={self.n_list}")
         if any(t <= 0.0 for t in self.tau2_list):
             raise ValueError("all tau2 values must be positive")
         unknown = set(self.methods) - set(_METHODS)
@@ -191,50 +194,12 @@ def _transform(pop: str, theta: float | np.ndarray, u: np.ndarray) -> np.ndarray
 # -- batched interval bounds -----------------------------------------------------
 
 
-def _reflect_bounds(samples: np.ndarray, mu: float, precision: float, k: int) -> np.ndarray:
-    """Order-statistic bounds of the pooled reflection candidates, per row."""
-    n = samples.shape[1]
-    s_prior = mu * precision + samples.sum(axis=1, keepdims=True)
-    c = precision + (n + 1.0)
-    g = (2.0 * s_prior - c * samples) / (c - 2.0)
-    v = np.sort(np.concatenate([samples, g], axis=1), axis=1)
-    return np.column_stack([v[:, k - 1], v[:, 2 * n - k]])
-
-
 def _fab_bounds(samples: np.ndarray, mu: float, tau2: float, k: int) -> np.ndarray:
-    return _reflect_bounds(samples, mu, 1.0 / tau2, k)
+    return reflect_bounds(samples, samples.sum(axis=1, keepdims=True), mu, 1.0 / tau2, k)
 
 
 def _dta_bounds(samples: np.ndarray, k: int) -> np.ndarray:
-    return _reflect_bounds(samples, 0.0, 0.0, k)
-
-
-def _pivot_bounds(samples: np.ndarray, alpha: float, sigma2: float | None) -> np.ndarray:
-    n = samples.shape[1]
-    ybar = samples.mean(axis=1)
-    if sigma2 is None:
-        s2 = samples.var(axis=1, ddof=1)
-        half = student_t_quantile(1.0 - alpha / 2.0, n - 1) * np.sqrt(s2 * (1.0 + 1.0 / n))
-    else:
-        half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(sigma2 * (1.0 + 1.0 / n))
-    return np.column_stack([ybar - half, ybar + half])
-
-
-def _eb_bounds(
-    samples: np.ndarray, alpha: float, mu: float, tau2: float, sigma2: float | None
-) -> np.ndarray:
-    n = samples.shape[1]
-    ybar = samples.mean(axis=1)
-    if sigma2 is None:
-        s2 = samples.var(axis=1, ddof=1)
-        q = student_t_quantile(1.0 - alpha / 2.0, n - 1)
-    else:
-        s2 = np.full(samples.shape[0], sigma2)
-        q = normal_quantile(1.0 - alpha / 2.0)
-    prec = 1.0 / tau2 + n / s2
-    center = (mu / tau2 + ybar * n / s2) / prec
-    half = q * np.sqrt(1.0 / prec + s2)
-    return np.column_stack([center - half, center + half])
+    return reflect_bounds(samples, samples.sum(axis=1, keepdims=True), 0.0, 0.0, k)
 
 
 def _method_bounds(
@@ -248,20 +213,16 @@ def _method_bounds(
     """Per-replication (lower, upper); rows of +-inf when k = 0."""
     n = samples.shape[1]
     k = int(math.floor(alpha * (n + 1)))
-    if method in ("fab", "dta") and k == 0:
-        out = np.empty((samples.shape[0], 2))
-        out[:, 0], out[:, 1] = -np.inf, np.inf
-        return out
     if method == "fab":
         return _fab_bounds(samples, mu, tau2, k)
     if method == "dta":
         return _dta_bounds(samples, k)
     if method == "pivot_z":
-        return _pivot_bounds(samples, alpha, sigma2_known)
+        return pivot_bounds(samples, alpha, sigma2_known)
     if method == "pivot_t":
-        return _pivot_bounds(samples, alpha, None)
+        return pivot_bounds(samples, alpha, None)
     if method == "eb":
-        return _eb_bounds(samples, alpha, mu, tau2, sigma2_known)
+        return eb_bounds(samples, alpha, mu, tau2, sigma2_known)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -199,3 +199,21 @@ class TestEBInterval:
         prec = 1.0 + 4.0 / s2
         want_half = student_t_quantile(0.875, 3) * math.sqrt(1.0 / prec + s2)
         assert 0.5 * eb.width == pytest.approx(want_half, rel=1e-12)
+
+    def test_constant_sample_with_estimated_variance_degenerates(self):
+        # The s2 -> 0 limit, as the t-mode pivot interval gives for the same sample.
+        eb = eb_interval([1.0, 1.0, 1.0], EBSpec(mu=0.0, tau2=1.0, alpha=0.25))
+        assert (eb.lower, eb.upper) == (1.0, 1.0)
+        pivot = pivot_interval([1.0, 1.0, 1.0], PivotSpec(alpha=0.25))
+        assert (pivot.lower, pivot.upper) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_parametric_intervals_reject_non_finite_samples(bad):
+    y = [1.0, bad, 2.0]
+    for spec in (PivotSpec(0.25, sigma2=1.0), PivotSpec(0.25)):
+        with pytest.raises(ValueError, match="non-finite"):
+            pivot_interval(y, spec)
+    for spec in (EBSpec(0.0, 1.0, 0.25, sigma2=1.0), EBSpec(0.0, 1.0, 0.25)):
+        with pytest.raises(ValueError, match="non-finite"):
+            eb_interval(y, spec)

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabcp.baselines import dta_interval
 from fabcp.conformal import FABMeasure, default_grid, grid_region
-from fabcp.fab import fab_interval, fab_interval_from_precision, g_map, sub_regions
+from fabcp.fab import (
+    fab_interval,
+    fab_interval_from_precision,
+    g_map,
+    reflect_bounds,
+    sub_regions,
+)
 from fabcp.working_model import (
     WorkingModelParams,
     posterior_mean_theta,
@@ -183,6 +191,50 @@ class TestFabInterval:
             fab_interval([], params, 0.25)
         with pytest.raises(ValueError):
             fab_interval_from_precision([1.0], 0.0, 0.0, 0.25)  # diffuse needs n >= 2
+
+
+def _bits(lower: float, upper: float) -> tuple[str, str]:
+    return float(lower).hex(), float(upper).hex()
+
+
+def _assert_kernel_matches_scalar(samples, mu, precision, alpha):
+    """Row by row, the kernel on fsum row sums gives the scalar APIs' bits."""
+    n = samples.shape[1]
+    k = int(math.floor(alpha * (n + 1)))
+    sums = np.array([[math.fsum(row)] for row in samples])
+    bounds = reflect_bounds(samples, sums, mu, precision, k)
+    for row, (lo, hi) in zip(samples, bounds):
+        iv = fab_interval_from_precision(row, mu, precision, alpha)
+        assert iv.k == k
+        assert _bits(lo, hi) == _bits(iv.lower, iv.upper)
+        if precision == 0.0:
+            dta = dta_interval(row, alpha)
+            assert _bits(lo, hi) == _bits(dta.lower, dta.upper)
+
+
+class TestReflectBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        n=st.integers(1, 40),
+        alpha=st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 0.9]),
+        mu=st.floats(-5.0, 5.0),
+        precision=st.sampled_from([0.0, 0.1, 1.0, 7.5]),
+        ties=st.booleans(),
+    )
+    def test_rows_match_scalar_bits(self, seed, rows, n, alpha, mu, precision, ties):
+        if precision == 0.0 and n < 2:
+            n = 2
+        samples = np.random.default_rng(seed).normal(size=(rows, n)) * 3.0
+        if ties:
+            samples = np.round(samples)
+        _assert_kernel_matches_scalar(samples, mu, precision, alpha)
+
+    def test_large_row_matches_scalar_bits(self):
+        samples = np.random.default_rng(33).normal(size=(1, 10**4))
+        for precision in (0.0, 2.0):
+            _assert_kernel_matches_scalar(samples, 0.3, precision, 0.1)
 
 
 class TestSubRegions:

@@ -6,16 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from fabcp.baselines import EBSpec, PivotSpec, dta_interval, eb_interval, pivot_interval
+from fabcp.baselines import (
+    EBSpec,
+    PivotSpec,
+    dta_interval,
+    eb_bounds,
+    eb_interval,
+    pivot_bounds,
+    pivot_interval,
+)
 from fabcp.fab import fab_interval
 from fabcp.simulate import (
     STRIDE,
     SimConfig,
     _cell_uniforms,
     _dta_bounds,
-    _eb_bounds,
     _fab_bounds,
-    _pivot_bounds,
     _ratio_stats,
     bayes_risk_ratio,
     bounds_profile,
@@ -95,9 +101,9 @@ class TestBatchBounds:
     def test_pivot_and_eb_batches_match_scalar(self):
         rng = np.random.default_rng(102)
         samples = rng.normal(size=(20, 6))
-        pb = _pivot_bounds(samples, 0.25, 1.0)
-        pt = _pivot_bounds(samples, 0.25, None)
-        eb = _eb_bounds(samples, 0.25, 0.3, 0.5, 1.0)
+        pb = pivot_bounds(samples, 0.25, 1.0)
+        pt = pivot_bounds(samples, 0.25, None)
+        eb = eb_bounds(samples, 0.25, 0.3, 0.5, 1.0)
         for i, row in enumerate(samples):
             piv_z = pivot_interval(row, PivotSpec(0.25, sigma2=1.0))
             piv_t = pivot_interval(row, PivotSpec(0.25))
@@ -250,3 +256,31 @@ class TestConfigValidation:
             SimConfig(methods=("fab", "bootstrap"))
         with pytest.raises(ValueError):
             SimConfig(population="levy")
+
+    def test_sample_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            SimConfig(n_list=(3, 0))
+
+
+class TestSingleObservationCells:
+    def test_dta_needs_two_observations(self):
+        # The zero-precision reflection divides by n - 1; n = 1 used to give
+        # NaN bounds, reported as coverage 0 with every width infinite.
+        config = SimConfig(methods=("dta",), n_list=(1,), alpha=0.5, replications=50)
+        with pytest.raises(ValueError, match="n >= 2"):
+            coverage_experiment(config)
+
+    def test_estimated_variance_pivot_needs_two_observations(self):
+        samples = np.zeros((4, 1))
+        with pytest.raises(ValueError, match="n >= 2"):
+            pivot_bounds(samples, 0.25, None)
+        config = SimConfig(methods=("pivot_t",), n_list=(1,), replications=50)
+        with pytest.raises(ValueError, match="n >= 2"):
+            coverage_experiment(config)
+
+    def test_informative_methods_run_at_one_observation(self):
+        config = SimConfig(methods=("fab", "pivot_z", "eb"), n_list=(1,), alpha=0.5,
+                           replications=200, seed=3)
+        for row in coverage_experiment(config).rows:
+            assert row.inf_width_count == 0
+            assert 0.0 < row.coverage < 1.0
