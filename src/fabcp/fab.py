@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._sum import fsum
 from .intervals import PredictionInterval
 from .working_model import WorkingModelParams, _as_sample
 
@@ -147,8 +148,10 @@ def fab_interval_from_precision(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if precision < 0.0 or not math.isfinite(precision):
         raise ValueError(f"precision must be finite and nonnegative, got {precision}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     k = int(math.floor(alpha * (n + 1)))
-    lower, upper = reflect_bounds(y[None, :], math.fsum(y), mu, precision, k)[0]
+    lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k)[0]
     return PredictionInterval(float(lower), float(upper), alpha, 1.0 - k / (n + 1), k=k)
 
 
@@ -172,6 +175,6 @@ def sub_regions(sample: Sequence[float] | np.ndarray, params: WorkingModelParams
     """Per-observation acceptance intervals ``[min(y_i, g(y_i)), max(y_i, g(y_i))]``."""
     y = _as_sample(sample)
     precision = 1.0 / params.tau2
-    g = _reflect(y, params.mu * precision + math.fsum(y), precision + (y.size + 1.0))
+    g = _reflect(y, params.mu * precision + fsum(y), precision + (y.size + 1.0))
     lo, hi = np.minimum(y, g).tolist(), np.maximum(y, g).tolist()
     return [SubRegion(index=i, lo=lo[i], hi=hi[i]) for i in range(y.size)]

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from ._sum import fsum
 from .baselines import eb_bounds, pivot_bounds
 from .fab import reflect_bounds
 
@@ -162,6 +163,19 @@ def _cell_uniforms(seed: int, cell: int, reps: int, m: int) -> np.ndarray:
     return buf.reshape(reps, STRIDE)[:, :m]
 
 
+def _check_draws(experiment: str, n_list: Sequence[int], extra: int) -> None:
+    """Reject, before any draw, a sample size whose replications need over STRIDE draws.
+
+    A replication of ``experiment`` draws ``n + extra`` uniforms.
+    """
+    for n in n_list:
+        if n + extra > STRIDE:
+            raise ValueError(
+                f"{experiment}: n = {n} needs {n + extra} draws per replication, but a "
+                f"replication stream holds at most {STRIDE}"
+            )
+
+
 def _normals(u: np.ndarray) -> np.ndarray:
     return ndtri(np.clip(u, _U_LO, _U_HI))
 
@@ -230,7 +244,7 @@ def _method_bounds(
 
 
 def _fmean(x: np.ndarray) -> float:
-    return math.fsum(x) / x.size
+    return fsum(x) / x.size
 
 
 def _width_stats(widths: np.ndarray) -> tuple[float, float, int]:
@@ -243,7 +257,7 @@ def _width_stats(widths: np.ndarray) -> tuple[float, float, int]:
     mean = _fmean(w)
     if w.size == 1:
         return mean, math.nan, n_inf
-    var = math.fsum((w - mean) ** 2) / (w.size - 1)
+    var = fsum((w - mean) ** 2) / (w.size - 1)
     return mean, math.sqrt(var / w.size), n_inf
 
 
@@ -258,7 +272,7 @@ def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     ratio = r_n / r_d
     m = num.size
     resid = num - ratio * den
-    var = math.fsum((resid - _fmean(resid)) ** 2) / (m - 1) if m > 1 else math.nan
+    var = fsum((resid - _fmean(resid)) ** 2) / (m - 1) if m > 1 else math.nan
     return ratio, math.sqrt(var / m) / r_d
 
 
@@ -305,6 +319,7 @@ def expected_width(config: SimConfig) -> SimReport:
     methods run, a ``fab/dta`` ratio row carries the paired width ratio and
     its delta-method standard error.
     """
+    _check_draws("expected_width", config.n_list, 0)
     rows: list[SimRow] = []
     cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
     for cell, (n, tau2, theta) in enumerate(cells):
@@ -334,6 +349,7 @@ def bayes_risk_ratio(
     as its working-model prior. The resulting Bayes risk ratio does not
     depend on mu.
     """
+    _check_draws("bayes_risk_ratio", n_list, 1)
     rows: list[SimRow] = []
     cells = [(n, t2) for n in n_list for t2 in tau2_grid]
     for cell, (n, tau2) in enumerate(cells):
@@ -347,6 +363,7 @@ def bayes_risk_ratio(
 
 def coverage_experiment(config: SimConfig) -> SimReport:
     """Empirical coverage of each method, next observation from the same population."""
+    _check_draws("coverage_experiment", config.n_list, 1)
     rows: list[SimRow] = []
     cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
     for cell, (n, tau2, theta) in enumerate(cells):
@@ -376,6 +393,7 @@ def bounds_profile(
     seed: int,
 ) -> SimReport:
     """Monte Carlo mean interval endpoints of FAB and DTA across theta."""
+    _check_draws("bounds_profile", (n,), 0)
     rows: list[SimRow] = []
     for cell, theta in enumerate(theta_grid):
         u = _cell_uniforms(seed, cell, replications, n)

@@ -29,6 +29,7 @@ from scipy.linalg.lapack import dormqr, dstevd, dsytrd
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
+from ._sum import fsum
 from .baselines import dta_interval
 from .fab import fab_interval_from_precision
 from .intervals import PredictionInterval
@@ -107,7 +108,7 @@ class AreaTable:
 
     @property
     def ybar(self) -> np.ndarray:
-        return np.array([math.fsum(y) / y.size for y in self.samples])
+        return np.array([fsum(y) / y.size for y in self.samples])
 
     @property
     def s2(self) -> np.ndarray:
@@ -115,7 +116,7 @@ class AreaTable:
         out = np.full(self.J, np.nan)
         for j, y in enumerate(self.samples):
             if y.size >= 2:
-                m = math.fsum(y) / y.size
+                m = fsum(y) / y.size
                 out[j] = math.fsum((v - m) ** 2 for v in y)
         return out
 

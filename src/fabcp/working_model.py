@@ -30,6 +30,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from ._sum import fsum
+
 
 @dataclass(frozen=True)
 class WorkingModelParams:
@@ -129,7 +131,7 @@ def posterior_params(sample: Sequence[float] | np.ndarray, params: WorkingModelP
     y = _as_sample(sample)
     n = y.size
     tau2_theta = 1.0 / (1.0 / params.tau2 + n)
-    mu_theta = (params.mu / params.tau2 + math.fsum(y)) * tau2_theta
+    mu_theta = (params.mu / params.tau2 + fsum(y)) * tau2_theta
     a_sigma = params.a + n
     resid = math.fsum((v - mu_theta) ** 2 for v in y)
     resid += (params.mu - mu_theta) ** 2 / params.tau2
@@ -168,7 +170,7 @@ def posterior_mean_theta(sample: Sequence[float] | np.ndarray, params: WorkingMo
     the prior mean and the sample mean.
     """
     y = _as_sample(sample)
-    return (params.mu / params.tau2 + math.fsum(y)) / (1.0 / params.tau2 + y.size)
+    return (params.mu / params.tau2 + fsum(y)) / (1.0 / params.tau2 + y.size)
 
 
 # -- array kernels -----------------------------------------------------------

@@ -254,6 +254,7 @@ def test_criterion_10_conditional_math():
            f"2x2 hand case to 1e-12: {sar_ok}; worst conditioning error {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_11_pipeline_width_and_coverage():
     start = time.time()
     fractions = []

@@ -90,6 +90,18 @@ class TestPredict:
         assert code == 1
         assert "--tau2 or --precision" in err
 
+    @pytest.mark.parametrize("prior", [("--precision", "0"), ("--tau2", "1")])
+    def test_non_finite_mu_exits_one(self, tmp_path, capsys, prior):
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0, 4.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--mu", "nan", *prior,
+            "--alpha", "0.25", "--method", "fab",
+        )
+        assert code == 1
+        assert out == ""
+        assert "mu must be finite" in err
+
     def test_invalid_flag_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0])

@@ -192,6 +192,13 @@ class TestFabInterval:
         with pytest.raises(ValueError):
             fab_interval_from_precision([1.0], 0.0, 0.0, 0.25)  # diffuse needs n >= 2
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("precision", [0.0, 2.0])
+    def test_non_finite_mu_rejected(self, mu, precision):
+        # At precision 0 mu does not enter the interval, but it must still be a number.
+        with pytest.raises(ValueError, match="mu must be finite"):
+            fab_interval_from_precision(np.arange(1.0, 8.0), mu, precision, 0.25)
+
 
 def _bits(lower: float, upper: float) -> tuple[str, str]:
     return float(lower).hex(), float(upper).hex()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fabcp import simulate
 from fabcp.baselines import (
     EBSpec,
     PivotSpec,
@@ -260,6 +261,36 @@ class TestConfigValidation:
     def test_sample_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(n_list=(3, 0))
+
+    @pytest.mark.parametrize(
+        "experiment, n, draws",
+        [
+            ("expected_width", 33, 33),
+            ("coverage_experiment", 32, 33),
+            ("bayes_risk_ratio", 32, 33),
+            ("bounds_profile", 33, 33),
+        ],
+    )
+    def test_stride_checked_before_any_draw(self, monkeypatch, experiment, n, draws):
+        def no_draws(*args):
+            raise AssertionError("drew uniforms before checking every n")
+
+        monkeypatch.setattr(simulate, "_cell_uniforms", no_draws)
+        run = {
+            "expected_width": lambda: expected_width(SimConfig(n_list=(3, n), replications=8)),
+            "coverage_experiment":
+                lambda: coverage_experiment(SimConfig(n_list=(3, n), replications=8)),
+            "bayes_risk_ratio": lambda: bayes_risk_ratio((3, n), (0.5,), 0.25, 8, 0),
+            "bounds_profile": lambda: bounds_profile((0.0,), n, 0.0, 0.5, 0.25, 8, 0),
+        }[experiment]
+        with pytest.raises(ValueError, match=rf"^{experiment}: n = {n} needs {draws} draws"):
+            run()
+
+    def test_largest_sample_sizes_within_stride_run(self):
+        assert expected_width(SimConfig(n_list=(STRIDE,), replications=8)).rows
+        assert coverage_experiment(SimConfig(n_list=(STRIDE - 1,), replications=8)).rows
+        assert bayes_risk_ratio((STRIDE - 1,), (0.5,), 0.25, 8, 0).rows
+        assert bounds_profile((0.0,), STRIDE, 0.0, 0.5, 0.25, 8, 0).rows
 
 
 class TestSingleObservationCells:
