@@ -18,6 +18,7 @@ import numpy as np
 from . import simulate
 from .baselines import dta_interval
 from .fab import fab_interval_from_precision
+from .simulate import _fmt
 from .small_area import AreaTable, area_pipeline, generate_table
 from .working_model import posterior_mean_theta, WorkingModelParams
 
@@ -38,12 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_FLAGS, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
 
 
 def _dump_json(obj: dict) -> str:

@@ -1,12 +1,12 @@
 """Seeded Monte Carlo harness for coverage and expected-width experiments.
 
-Reproducibility contract: every replication draws from its own
-counter-based stream, keyed by ``(seed, cell index)`` with the replication
-index mapped to a disjoint Philox counter block. Serial and parallel
-execution therefore produce bit-identical reports, and the vectorized
-per-cell fast path consumes exactly the same uniforms as the
-per-replication streams (normals come from the inverse CDF, one uniform
-per draw).
+Stream layout: each cell draws from one counter-based Philox stream keyed
+by ``(seed, cell index)``. A replication that takes ``m`` uniforms owns a
+block of ``32 * ceil(m / 32)`` draws, the stride, at offset ``rep * stride``,
+so the blocks of a cell are disjoint at any sample size. A cell draws its
+``reps x stride`` uniforms in one call and uses the first ``m`` of each
+row; :func:`replication_stream` replays one row on its own. Normals come
+from the inverse CDF, one uniform per draw.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ __all__ = [
 
 _METHODS = ("fab", "dta", "pivot_z", "pivot_t", "eb")
 
-# uint64 draws reserved per replication; must be a multiple of the Philox
-# output block (4) so batch buffers align with per-replication streams.
-STRIDE = 32
 _MASK64 = (1 << 64) - 1
 _U_LO = 2.0**-53
 _U_HI = 1.0 - 2.0**-53
@@ -58,7 +55,6 @@ class SimConfig:
     replications: int = 25_000
     seed: int = 0
     population: str = "normal"
-    sigma2_known: float = 1.0
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -74,8 +70,6 @@ class SimConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")
         if self.population not in ("normal", "mixture"):
             raise ValueError(f"population must be 'normal' or 'mixture', got {self.population!r}")
-        if self.sigma2_known <= 0.0:
-            raise ValueError("sigma2_known must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,13 @@ class SimRow:
     mean_upper: float = math.nan
 
 
+def _fmt(x: float) -> str:
+    """A float at 17 significant digits, infinities as ``inf``/``-inf``."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
 _CSV_HEADER = (
     "method,n,theta_minus_mu,tau2,mean_width,width_se,"
     "coverage,coverage_se,inf_width_count,seed"
@@ -108,22 +109,17 @@ class SimReport:
 
     def to_csv(self, path: str, include_endpoints: bool = False) -> None:
         """Write the fixed-schema CSV (optionally with mean endpoint columns)."""
-        def fmt(x: float) -> str:
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return f"{x:.17g}"
-
         header = _CSV_HEADER + (",mean_lower,mean_upper" if include_endpoints else "")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for r in self.rows:
                 cells = [
-                    r.method, str(r.n), fmt(r.theta_minus_mu), fmt(r.tau2),
-                    fmt(r.mean_width), fmt(r.width_se), fmt(r.coverage),
-                    fmt(r.coverage_se), str(r.inf_width_count), str(r.seed),
+                    r.method, str(r.n), _fmt(r.theta_minus_mu), _fmt(r.tau2),
+                    _fmt(r.mean_width), _fmt(r.width_se), _fmt(r.coverage),
+                    _fmt(r.coverage_se), str(r.inf_width_count), str(r.seed),
                 ]
                 if include_endpoints:
-                    cells += [fmt(r.mean_lower), fmt(r.mean_upper)]
+                    cells += [_fmt(r.mean_lower), _fmt(r.mean_upper)]
                 fh.write(",".join(cells) + "\n")
 
     def find(self, method: str, **keys: float) -> SimRow:
@@ -148,32 +144,27 @@ def _philox_key(seed: int, cell: int) -> np.ndarray:
     return np.array([seed & _MASK64, cell & _MASK64], dtype=np.uint64)
 
 
-def replication_stream(seed: int, cell: int, rep: int) -> Generator:
-    """The counter-based stream of one replication of one cell."""
+def _stride(m: int) -> int:
+    """Draws reserved per replication that takes ``m``: ``m`` rounded up to 32s.
+
+    32 is a multiple of the Philox output block (4 draws), so every
+    replication's block starts on a fresh counter.
+    """
+    return 32 * -(-m // 32)
+
+
+def replication_stream(seed: int, cell: int, rep: int, m: int) -> Generator:
+    """The stream of one replication of a cell whose replications take ``m`` draws."""
     bg = Philox(key=_philox_key(seed, cell))
-    bg.advance(rep * (STRIDE // 4))
+    bg.advance(rep * (_stride(m) // 4))
     return Generator(bg)
 
 
 def _cell_uniforms(seed: int, cell: int, reps: int, m: int) -> np.ndarray:
     """First ``m`` uniforms of every replication stream of a cell, vectorized."""
-    if m > STRIDE:
-        raise ValueError(f"a replication stream holds at most {STRIDE} draws, requested {m}")
-    buf = Generator(Philox(key=_philox_key(seed, cell))).random(reps * STRIDE)
-    return buf.reshape(reps, STRIDE)[:, :m]
-
-
-def _check_draws(experiment: str, n_list: Sequence[int], extra: int) -> None:
-    """Reject, before any draw, a sample size whose replications need over STRIDE draws.
-
-    A replication of ``experiment`` draws ``n + extra`` uniforms.
-    """
-    for n in n_list:
-        if n + extra > STRIDE:
-            raise ValueError(
-                f"{experiment}: n = {n} needs {n + extra} draws per replication, but a "
-                f"replication stream holds at most {STRIDE}"
-            )
+    stride = _stride(m)
+    buf = Generator(Philox(key=_philox_key(seed, cell))).random(reps * stride)
+    return buf.reshape(reps, stride)[:, :m]
 
 
 def _normals(u: np.ndarray) -> np.ndarray:
@@ -189,20 +180,16 @@ def sample_population(pop: str, theta: float, n: int, rng: Generator) -> np.ndar
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    u = rng.random(n)
+    return _transform(pop, theta, rng.random(n))
+
+
+def _transform(pop: str, theta: float, u: np.ndarray) -> np.ndarray:
+    """Population draws at location ``theta`` from uniforms ``u``, elementwise."""
     if pop == "normal":
         return theta + _normals(u)
     if pop == "mixture":
         return np.where(u < 0.5, theta - 1.0, theta + 1.0)
     raise ValueError(f"unknown population {pop!r}")
-
-
-def _transform(pop: str, theta: float | np.ndarray, u: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    loc = theta[:, None] if theta.ndim == 1 else theta
-    if pop == "normal":
-        return loc + _normals(u)
-    return np.where(u < 0.5, loc - 1.0, loc + 1.0)
 
 
 # -- batched interval bounds -----------------------------------------------------
@@ -222,9 +209,12 @@ def _method_bounds(
     alpha: float,
     mu: float,
     tau2: float,
-    sigma2_known: float,
 ) -> np.ndarray:
-    """Per-replication (lower, upper); rows of +-inf when k = 0."""
+    """Per-replication (lower, upper); rows of +-inf when k = 0.
+
+    Both populations have variance 1, which the known-variance pivot and
+    EB intervals use.
+    """
     n = samples.shape[1]
     k = int(math.floor(alpha * (n + 1)))
     if method == "fab":
@@ -232,11 +222,11 @@ def _method_bounds(
     if method == "dta":
         return _dta_bounds(samples, k)
     if method == "pivot_z":
-        return pivot_bounds(samples, alpha, sigma2_known)
+        return pivot_bounds(samples, alpha, 1.0)
     if method == "pivot_t":
         return pivot_bounds(samples, alpha, None)
     if method == "eb":
-        return eb_bounds(samples, alpha, mu, tau2, sigma2_known)
+        return eb_bounds(samples, alpha, mu, tau2, 1.0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -285,14 +275,13 @@ def _width_rows(
     alpha: float,
     mu: float,
     tau2: float,
-    sigma2_known: float,
     base: SimRow,
 ) -> list[SimRow]:
     """Width rows per method plus a fab/dta ratio row when both are present."""
     widths: dict[str, np.ndarray] = {}
     rows = []
     for method in methods:
-        bounds = _method_bounds(method, samples, alpha, mu, tau2, sigma2_known)
+        bounds = _method_bounds(method, samples, alpha, mu, tau2)
         w = bounds[:, 1] - bounds[:, 0]
         widths[method] = w
         mean, se, n_inf = _width_stats(w)
@@ -319,18 +308,14 @@ def expected_width(config: SimConfig) -> SimReport:
     methods run, a ``fab/dta`` ratio row carries the paired width ratio and
     its delta-method standard error.
     """
-    _check_draws("expected_width", config.n_list, 0)
     rows: list[SimRow] = []
     cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
     for cell, (n, tau2, theta) in enumerate(cells):
         u = _cell_uniforms(config.seed, cell, config.replications, n)
-        samples = _transform(config.population, np.full(config.replications, theta), u)
+        samples = _transform(config.population, theta, u)
         base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2,
                       seed=config.seed, **_BLANK)
-        rows.extend(
-            _width_rows(samples, config.methods, config.alpha, config.mu, tau2,
-                        config.sigma2_known, base)
-        )
+        rows.extend(_width_rows(samples, config.methods, config.alpha, config.mu, tau2, base))
     return SimReport(rows=tuple(rows))
 
 
@@ -349,7 +334,6 @@ def bayes_risk_ratio(
     as its working-model prior. The resulting Bayes risk ratio does not
     depend on mu.
     """
-    _check_draws("bayes_risk_ratio", n_list, 1)
     rows: list[SimRow] = []
     cells = [(n, t2) for n in n_list for t2 in tau2_grid]
     for cell, (n, tau2) in enumerate(cells):
@@ -357,24 +341,22 @@ def bayes_risk_ratio(
         theta = mu + math.sqrt(tau2) * _normals(u[:, 0])
         samples = theta[:, None] + _normals(u[:, 1:])
         base = SimRow(method="", n=n, theta_minus_mu=math.nan, tau2=tau2, seed=seed, **_BLANK)
-        rows.extend(_width_rows(samples, ("fab", "dta"), alpha, mu, tau2, 1.0, base))
+        rows.extend(_width_rows(samples, ("fab", "dta"), alpha, mu, tau2, base))
     return SimReport(rows=tuple(rows))
 
 
 def coverage_experiment(config: SimConfig) -> SimReport:
     """Empirical coverage of each method, next observation from the same population."""
-    _check_draws("coverage_experiment", config.n_list, 1)
     rows: list[SimRow] = []
     cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
     for cell, (n, tau2, theta) in enumerate(cells):
         u = _cell_uniforms(config.seed, cell, config.replications, n + 1)
-        draws = _transform(config.population, np.full(config.replications, theta), u)
+        draws = _transform(config.population, theta, u)
         samples, y_next = draws[:, :n], draws[:, n]
         base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2,
                       seed=config.seed, **_BLANK)
         for method in config.methods:
-            bounds = _method_bounds(method, samples, config.alpha, config.mu, tau2,
-                                    config.sigma2_known)
+            bounds = _method_bounds(method, samples, config.alpha, config.mu, tau2)
             hit = (bounds[:, 0] <= y_next) & (y_next <= bounds[:, 1])
             cov, cov_se = _coverage_stats(hit)
             mean, se, n_inf = _width_stats(bounds[:, 1] - bounds[:, 0])
@@ -393,14 +375,13 @@ def bounds_profile(
     seed: int,
 ) -> SimReport:
     """Monte Carlo mean interval endpoints of FAB and DTA across theta."""
-    _check_draws("bounds_profile", (n,), 0)
     rows: list[SimRow] = []
     for cell, theta in enumerate(theta_grid):
         u = _cell_uniforms(seed, cell, replications, n)
-        samples = _transform("normal", np.full(replications, theta), u)
+        samples = _transform("normal", theta, u)
         base = SimRow(method="", n=n, theta_minus_mu=theta - mu, tau2=tau2, seed=seed, **_BLANK)
         for method in ("fab", "dta"):
-            bounds = _method_bounds(method, samples, alpha, mu, tau2, 1.0)
+            bounds = _method_bounds(method, samples, alpha, mu, tau2)
             mean, se, n_inf = _width_stats(bounds[:, 1] - bounds[:, 0])
             rows.append(replace(base, method=method, mean_width=mean, width_se=se,
                                 inf_width_count=n_inf,

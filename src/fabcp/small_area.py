@@ -221,14 +221,14 @@ def sq_exp_weights(centroids: Sequence[tuple[float, float]] | np.ndarray) -> np.
     return W / W.sum(axis=1)[:, None]
 
 
-def _zap_tiny(M: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    """Zero entries negligibly small relative to the largest magnitude.
+def _zap_tiny(M: np.ndarray) -> np.ndarray:
+    """Zero entries below 1e-14 of the largest magnitude.
 
     Entries this far below the matrix scale carry no statistical content
     but breed subnormal intermediates inside LAPACK factorizations, which
     run orders of magnitude slower.
     """
-    M[np.abs(M) < rel * np.abs(M).max()] = 0.0
+    M[np.abs(M) < 1e-14 * np.abs(M).max()] = 0.0
     return M
 
 
@@ -296,7 +296,7 @@ _LOG_A_BOX = (-6.0, 7.0)
 _LOG_B_BOX = (-12.0, 12.0)
 
 
-def estimate_ab(s2_list: Sequence[tuple[float, int]], max_iter: int = 2000) -> tuple[float, float]:
+def estimate_ab(s2_list: Sequence[tuple[float, int]]) -> tuple[float, float]:
     """Maximum-likelihood inverse-gamma hyperparameters from area variances.
 
     Runs a Nelder-Mead search in ``(log a, log b)`` started from method-of-
@@ -333,7 +333,7 @@ def estimate_ab(s2_list: Sequence[tuple[float, int]], max_iter: int = 2000) -> t
         neg_ll,
         x0,
         method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": max_iter, "maxfev": 2 * max_iter},
+        options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 2000, "maxfev": 4000},
     )
     la, lb = clamp(res.x)
     a_hat, b_hat = math.exp(la), math.exp(lb)
@@ -524,7 +524,7 @@ def mean_model_loglik(
     return -0.5 * (J * math.log(2.0 * math.pi) + logdet + float(r @ cho_solve(cf, r)))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) -> tuple:
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple:
     """Golden-section maximization of a unimodal function on [lo, hi].
 
     ``f`` returns ``(value, payload)``. The search compares values and
@@ -536,9 +536,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) 
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
+    while b - a >= tol:
         if fc[0] > fd[0]:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -550,12 +548,16 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-3, max_iter: int = 60) 
     return (c, *fc) if fc[0] > fd[0] else (d, *fd)
 
 
+# The rho search bracket and the bracket width at which it stops.
+_RHO_BOUNDS = (-0.99, 0.99)
+_RHO_TOL = 5e-3
+
+
 def fit_mean_model(
     ybar: np.ndarray,
     sampling_var: np.ndarray,
     X: np.ndarray,
     W: np.ndarray,
-    rho_bounds: tuple[float, float] = (-0.99, 0.99),
 ) -> MeanModelFit:
     """Maximum-likelihood fit of ``ybar ~ N(X beta, eta2 G(rho) + diag(d))``.
 
@@ -591,7 +593,7 @@ def fit_mean_model(
         return profile.max_eta2(rounds=3)[1], profile
 
     # The final fit at rho_hat reuses the eigenbasis the search built there.
-    rho_hat, best_ll, profile = _golden_max(profile_rho, rho_bounds[0], rho_bounds[1], tol=5e-3)
+    rho_hat, best_ll, profile = _golden_max(profile_rho, *_RHO_BOUNDS, _RHO_TOL)
     if not math.isfinite(best_ll):
         raise EstimationError("no candidate rho admits a positive-definite covariance")
 
@@ -719,13 +721,11 @@ def _predict_area(
     out: list[AreaPrediction] = []
 
     params: AreaConformalParams | None = None
-    fallback = False
     if "fab" in methods:
         try:
             params = loo_conformal_params(table, j, stats)
         except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
             logger.warning("area %s: falling back to DTA (%s)", table.ids[j], exc)
-            fallback = True
 
     for method in methods:
         if method == "fab" and params is not None:
@@ -736,16 +736,12 @@ def _predict_area(
                     mu_j=params.mu_j, tau2_j=params.tau2_j,
                 )
             )
-        elif method == "fab":
-            interval = dta_interval(y, alpha_j)
-            out.append(
-                AreaPrediction(table.ids[j], n_j, alpha_j, "fab", interval, fallback=True)
-            )
-        elif method == "dta":
-            interval = dta_interval(y, alpha_j)
-            out.append(AreaPrediction(table.ids[j], n_j, alpha_j, "dta", interval))
         else:
-            raise ValueError(f"unknown method {method!r}")
+            # DTA, asked for or standing in for a FAB fit that failed.
+            out.append(
+                AreaPrediction(table.ids[j], n_j, alpha_j, method, dta_interval(y, alpha_j),
+                               fallback=(method == "fab"))
+            )
     return out
 
 
@@ -764,7 +760,8 @@ def area_pipeline(
         ``alpha_j = floor((n_j+1)/3) / (n_j+1)``.
     methods : tuple of {"fab", "dta"}
         Emits one record per area per method; ``("fab", "dta")`` gives the
-        paired rows used for width comparisons.
+        paired rows used for width comparisons. An empty tuple or any
+        other value raises ``ValueError`` before any fit.
 
     Areas whose hyperparameter fit fails get a DTA interval flagged as a
     fallback, so every returned record keeps the conformal coverage
@@ -774,6 +771,8 @@ def area_pipeline(
         raise ValueError("the pipeline needs at least three areas")
     if isinstance(alpha_mode, str) and alpha_mode != "exact":
         raise ValueError(f"alpha_mode must be a float or 'exact', got {alpha_mode!r}")
+    if not methods or not set(methods) <= {"fab", "dta"}:
+        raise ValueError(f"methods must be a nonempty tuple of 'fab' and 'dta', got {methods!r}")
     stats = _TableStats.of(table)
     return [
         rec

@@ -254,6 +254,18 @@ class TestSimulateCommand:
         assert code == 1
         assert "unknown config key" in err
 
+    def test_sample_size_beyond_32_draws_runs(self, tmp_path, capsys):
+        out = tmp_path / "coverage.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--experiment", "coverage", "--n-list", "40",
+            "--replications", "200", "--output", str(out),
+        )
+        assert code == 0, err
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["n"] for r in rows} == {"40"}
+        assert all(0.0 < float(r["coverage"]) < 1.0 for r in rows)
+
     def test_bounds_experiment_writes_endpoints(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"
         code, _, _ = run_cli(

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from fabcp import simulate
 from fabcp.baselines import (
     EBSpec,
     PivotSpec,
@@ -18,7 +17,6 @@ from fabcp.baselines import (
 )
 from fabcp.fab import fab_interval
 from fabcp.simulate import (
-    STRIDE,
     SimConfig,
     _cell_uniforms,
     _dta_bounds,
@@ -40,8 +38,16 @@ class TestStreams:
         for rep in (0, 1, 7, 999):
             row = _cell_uniforms(seed=12345, cell=3, reps=1000, m=21)[rep]
             np.testing.assert_array_equal(
-                row, replication_stream(12345, 3, rep).random(21)
+                row, replication_stream(12345, 3, rep, 21).random(21)
             )
+
+    @pytest.mark.parametrize("m", [1, 32, 33, 64, 65, 100])
+    def test_batch_matches_streams_at_every_stride(self, m):
+        """Rows keep matching their streams when the stride grows past 32."""
+        u = _cell_uniforms(seed=4, cell=2, reps=50, m=m)
+        assert u.shape == (50, m)
+        for rep in (0, 1, 17, 49):
+            np.testing.assert_array_equal(u[rep], replication_stream(4, 2, rep, m).random(m))
 
     def test_distinct_cells_and_reps_decorrelated(self):
         a = _cell_uniforms(1, 0, 100, 8)
@@ -49,15 +55,11 @@ class TestStreams:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a[0], a[1])
 
-    def test_stride_budget_enforced(self):
-        with pytest.raises(ValueError):
-            _cell_uniforms(0, 0, 10, STRIDE + 1)
-
     def test_sample_population_uses_stream_uniforms(self):
-        rng = replication_stream(7, 2, 5)
+        rng = replication_stream(7, 2, 5, 6)
         sample = sample_population("normal", 1.5, 6, rng)
         assert sample.shape == (6,)
-        again = sample_population("normal", 1.5, 6, replication_stream(7, 2, 5))
+        again = sample_population("normal", 1.5, 6, replication_stream(7, 2, 5, 6))
         np.testing.assert_array_equal(sample, again)
 
 
@@ -262,35 +264,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(n_list=(3, 0))
 
-    @pytest.mark.parametrize(
-        "experiment, n, draws",
-        [
-            ("expected_width", 33, 33),
-            ("coverage_experiment", 32, 33),
-            ("bayes_risk_ratio", 32, 33),
-            ("bounds_profile", 33, 33),
-        ],
-    )
-    def test_stride_checked_before_any_draw(self, monkeypatch, experiment, n, draws):
-        def no_draws(*args):
-            raise AssertionError("drew uniforms before checking every n")
 
-        monkeypatch.setattr(simulate, "_cell_uniforms", no_draws)
-        run = {
-            "expected_width": lambda: expected_width(SimConfig(n_list=(3, n), replications=8)),
-            "coverage_experiment":
-                lambda: coverage_experiment(SimConfig(n_list=(3, n), replications=8)),
-            "bayes_risk_ratio": lambda: bayes_risk_ratio((3, n), (0.5,), 0.25, 8, 0),
-            "bounds_profile": lambda: bounds_profile((0.0,), n, 0.0, 0.5, 0.25, 8, 0),
-        }[experiment]
-        with pytest.raises(ValueError, match=rf"^{experiment}: n = {n} needs {draws} draws"):
-            run()
+class TestLargeSampleSizes:
+    """Sample sizes whose replications take more than 32 draws."""
 
-    def test_largest_sample_sizes_within_stride_run(self):
-        assert expected_width(SimConfig(n_list=(STRIDE,), replications=8)).rows
-        assert coverage_experiment(SimConfig(n_list=(STRIDE - 1,), replications=8)).rows
-        assert bayes_risk_ratio((STRIDE - 1,), (0.5,), 0.25, 8, 0).rows
-        assert bounds_profile((0.0,), STRIDE, 0.0, 0.5, 0.25, 8, 0).rows
+    def test_every_experiment_runs_at_n_40(self):
+        assert expected_width(SimConfig(n_list=(40,), replications=8)).rows
+        assert coverage_experiment(SimConfig(n_list=(40,), replications=8)).rows
+        assert bayes_risk_ratio((40,), (0.5,), 0.25, 8, 0).rows
+        assert bounds_profile((0.0,), 40, 0.0, 0.5, 0.25, 8, 0).rows
+
+    def test_conformal_coverage_exact_at_n_40(self):
+        n, alpha, reps = 40, 0.25, 20_000
+        config = SimConfig(methods=("fab", "dta"), n_list=(n,), alpha=alpha,
+                           replications=reps, seed=13)
+        level = 1.0 - math.floor(alpha * (n + 1)) / (n + 1)
+        sigma = math.sqrt(level * (1.0 - level) / reps)
+        rep = coverage_experiment(config)
+        for method in ("fab", "dta"):
+            assert abs(rep.find(method, n=n).coverage - level) <= 4 * sigma
 
 
 class TestSingleObservationCells:

@@ -404,6 +404,21 @@ class TestAreaPipeline:
         with pytest.raises(ValueError):
             area_pipeline(table, 0.25)
 
+    @pytest.mark.parametrize("methods", [(), ("bogus",), ("fab", "bogus"), ("dta", "FAB")])
+    def test_methods_checked_before_any_fit(self, monkeypatch, methods):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted an area before checking methods")
+
+        monkeypatch.setattr(small_area, "loo_conformal_params", no_fit)
+        table, _ = self._table()
+        with pytest.raises(ValueError, match="methods"):
+            area_pipeline(table, 0.25, methods=methods)
+        # With no area of n_j >= 2 there is nothing to fit; bad methods still raise.
+        single = AreaTable(ids=table.ids, samples=[s[:1] for s in table.samples],
+                           X=table.X, centroids=table.centroids)
+        with pytest.raises(ValueError, match="methods"):
+            area_pipeline(single, 0.25, methods=methods)
+
     def test_failed_fit_falls_back_to_dta(self):
         # a rank-deficient covariate matrix breaks the mean-model fit; the
         # pipeline must still return coverage-valid intervals, flagged
