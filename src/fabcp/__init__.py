@@ -50,7 +50,6 @@ from .small_area import (
     AreaTable,
     EstimationError,
     MeanModelFit,
-    SpatialSpec,
     area_pipeline,
     conditional_params,
     eb_variances,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -251,16 +252,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# SimConfig's defaults as config-file values; tuples are comma-joined.
 _SIM_DEFAULTS = {
-    "methods": "fab,dta",
-    "n_list": "3",
-    "tau2_list": "0.5",
-    "theta_grid": "0",
-    "alpha": "0.25",
-    "mu": "0",
-    "replications": "25000",
-    "seed": "0",
-    "population": "normal",
+    f.name: ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+    for f in dataclasses.fields(simulate.SimConfig)
 }
 
 

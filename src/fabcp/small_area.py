@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "AreaTable",
-    "SpatialSpec",
     "AreaConformalParams",
     "AreaPrediction",
     "MeanModelFit",
@@ -68,6 +68,9 @@ class EstimationError(RuntimeError):
 @dataclass(frozen=True)
 class AreaTable:
     """Per-area samples, covariates, and centroid coordinates.
+
+    The table is immutable: ``n``, ``ybar``, ``s2`` and ``weights`` are
+    computed once, on first use, and every leave-one-out fit reads them.
 
     Attributes
     ----------
@@ -102,15 +105,15 @@ class AreaTable:
     def J(self) -> int:
         return len(self.ids)
 
-    @property
+    @cached_property
     def n(self) -> np.ndarray:
         return np.array([y.size for y in self.samples])
 
-    @property
+    @cached_property
     def ybar(self) -> np.ndarray:
         return np.array([fsum(y) / y.size for y in self.samples])
 
-    @property
+    @cached_property
     def s2(self) -> np.ndarray:
         """Within-area sums of squares about the mean; NaN when n_j < 2."""
         out = np.full(self.J, np.nan)
@@ -120,27 +123,10 @@ class AreaTable:
                 out[j] = math.fsum((v - m) ** 2 for v in y)
         return out
 
-
-@dataclass(frozen=True)
-class SpatialSpec:
-    """Validated spatial linking-model parameters (true or fitted)."""
-
-    W: np.ndarray
-    rho: float
-    eta2: float
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_weights(self.W)
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.eta2 <= 0.0:
-            raise ValueError(f"eta2 must be positive, got {self.eta2}")
-        sar_covariance(self.rho, self.W)  # asserts (I - rho W) is invertible
-
-    def covariance(self) -> np.ndarray:
-        """The implied prior covariance of the area means, eta2 * G(rho)."""
-        return self.eta2 * sar_covariance(self.rho, self.W)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``sq_exp_weights`` over all J centroids; raises if the map is rejected."""
+        return sq_exp_weights(self.centroids)
 
 
 @dataclass(frozen=True)
@@ -659,90 +645,22 @@ def exact_alpha(n: int) -> float:
     return math.floor((n + 1) / 3.0) / (n + 1)
 
 
-@dataclass(frozen=True)
-class _TableStats:
-    """Per-table quantities every leave-one-out fit reads, computed once."""
+def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
+    """Estimate area ``j``'s conformal prior from every other area's data.
 
-    n: np.ndarray
-    s2: np.ndarray
-    ybar: np.ndarray
-    W: np.ndarray | None  # weights over all areas; None if the map is rejected
+    A map whose full weights are rejected raises before any fit.
+    """
+    W_full = table.weights
+    rest = [i for i in range(table.J) if i != j]
+    n, s2 = table.n, table.s2
 
-    @classmethod
-    def of(cls, table: AreaTable) -> "_TableStats":
-        try:
-            W = sq_exp_weights(table.centroids)
-        except ValueError:
-            W = None
-        return cls(n=table.n, s2=table.s2, ybar=table.ybar, W=W)
-
-
-def loo_conformal_params(
-    table: AreaTable, j: int, stats: _TableStats | None = None
-) -> AreaConformalParams:
-    """Estimate area ``j``'s conformal prior from every other area's data."""
-    if stats is None:
-        stats = _TableStats.of(table)
-    J = table.J
-    rest = [i for i in range(J) if i != j]
-    n = stats.n
-    s2 = stats.s2
-
-    s2_pairs = [(s2[i], int(n[i])) for i in rest if n[i] >= 2]
-    a_hat, b_hat = estimate_ab(s2_pairs)
+    a_hat, b_hat = estimate_ab([(s2[i], int(n[i])) for i in rest if n[i] >= 2])
     all_pairs = [(s2[i] if n[i] >= 2 else 0.0, int(n[i])) for i in rest]
     sigma2_rest, sigma2_j = eb_variances(a_hat, b_hat, all_pairs)
 
     W_rest = sq_exp_weights(table.centroids[rest])
-    fit = fit_mean_model(
-        stats.ybar[rest],
-        sigma2_rest / n[rest],
-        table.X[rest],
-        W_rest,
-    )
-    # A map the full weights reject is rejected here again, so each area
-    # falls back with the weights' own error.
-    W_full = stats.W if stats.W is not None else sq_exp_weights(table.centroids)
-    return conditional_params(
-        j, fit.beta, fit.eta2, fit.rho, fit.theta, W_full, table.X, sigma2_j
-    )
-
-
-def _predict_area(
-    table: AreaTable,
-    stats: _TableStats,
-    j: int,
-    alpha_mode: float | str,
-    methods: tuple[str, ...],
-) -> list[AreaPrediction]:
-    y = table.samples[j]
-    n_j = y.size
-    alpha_j = exact_alpha(n_j) if alpha_mode == "exact" else float(alpha_mode)
-    out: list[AreaPrediction] = []
-
-    params: AreaConformalParams | None = None
-    if "fab" in methods:
-        try:
-            params = loo_conformal_params(table, j, stats)
-        except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
-            logger.warning("area %s: falling back to DTA (%s)", table.ids[j], exc)
-
-    for method in methods:
-        if method == "fab" and params is not None:
-            interval = fab_interval_from_precision(y, params.mu_j, 1.0 / params.tau2_j, alpha_j)
-            out.append(
-                AreaPrediction(
-                    table.ids[j], n_j, alpha_j, "fab", interval,
-                    mu_j=params.mu_j, tau2_j=params.tau2_j,
-                )
-            )
-        else:
-            # DTA, asked for or standing in for a FAB fit that failed.
-            out.append(
-                AreaPrediction(table.ids[j], n_j, alpha_j, method, dta_interval(y, alpha_j),
-                               fallback=(method == "fab"))
-            )
-    return out
+    fit = fit_mean_model(table.ybar[rest], sigma2_rest / n[rest], table.X[rest], W_rest)
+    return conditional_params(j, fit.beta, fit.eta2, fit.rho, fit.theta, W_full, table.X, sigma2_j)
 
 
 def area_pipeline(
@@ -756,30 +674,45 @@ def area_pipeline(
     ----------
     table : AreaTable
     alpha_mode : float or "exact"
-        Fixed error rate, or the per-area exact-coverage rule
+        Fixed error rate in (0, 1), or the per-area exact-coverage rule
         ``alpha_j = floor((n_j+1)/3) / (n_j+1)``.
     methods : tuple of {"fab", "dta"}
         Emits one record per area per method; ``("fab", "dta")`` gives the
-        paired rows used for width comparisons. An empty tuple or any
-        other value raises ``ValueError`` before any fit.
+        paired rows used for width comparisons.
 
-    Areas whose hyperparameter fit fails get a DTA interval flagged as a
-    fallback, so every returned record keeps the conformal coverage
-    guarantee.
+    Every argument is checked, and a bad one raises ``ValueError``, before
+    any fit. Areas whose hyperparameter fit fails get a DTA interval
+    flagged as a fallback, so every returned record keeps the conformal
+    coverage guarantee.
     """
     if table.J < 3:
         raise ValueError("the pipeline needs at least three areas")
-    if isinstance(alpha_mode, str) and alpha_mode != "exact":
-        raise ValueError(f"alpha_mode must be a float or 'exact', got {alpha_mode!r}")
+    if alpha_mode != "exact" and (isinstance(alpha_mode, str) or not 0.0 < alpha_mode < 1.0):
+        raise ValueError(f"alpha_mode must be 'exact' or a float in (0, 1), got {alpha_mode!r}")
     if not methods or not set(methods) <= {"fab", "dta"}:
         raise ValueError(f"methods must be a nonempty tuple of 'fab' and 'dta', got {methods!r}")
-    stats = _TableStats.of(table)
-    return [
-        rec
-        for j in range(table.J)
-        if stats.n[j] >= 2
-        for rec in _predict_area(table, stats, j, alpha_mode, methods)
-    ]
+
+    out: list[AreaPrediction] = []
+    for j, (area, y) in enumerate(zip(table.ids, table.samples)):
+        if y.size < 2:
+            continue
+        alpha_j = exact_alpha(y.size) if alpha_mode == "exact" else float(alpha_mode)
+        params: AreaConformalParams | None = None
+        if "fab" in methods:
+            try:
+                params = loo_conformal_params(table, j)
+            except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
+                logger.warning("area %s: falling back to DTA (%s)", area, exc)
+        for method in methods:
+            if method == "fab" and params is not None:
+                interval = fab_interval_from_precision(y, params.mu_j, 1.0 / params.tau2_j, alpha_j)
+                out.append(AreaPrediction(area, y.size, alpha_j, method, interval,
+                                          mu_j=params.mu_j, tau2_j=params.tau2_j))
+            else:
+                # DTA, asked for or standing in for a FAB fit that failed.
+                out.append(AreaPrediction(area, y.size, alpha_j, method, dta_interval(y, alpha_j),
+                                          fallback=method == "fab"))
+    return out
 
 
 # -- synthetic data -------------------------------------------------------------

@@ -4,7 +4,9 @@ Every sample sum and every reported mean or variance is the correctly
 rounded sum, bit-equal to ``math.fsum``. These SHA-256 digests were taken
 with ``math.fsum`` itself doing the summing; a change of summation order or
 rounding anywhere on these paths moves them. The inputs straddle the
-summation kernel's size cutoff and its block size.
+summation kernel's size cutoff and its block size. The small-area digest
+pins every field of the leave-one-area-out pipeline's records, fallbacks
+included.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from fabcp.baselines import dta_interval
 from fabcp.fab import fab_interval_from_precision
+from fabcp.small_area import AreaTable, area_pipeline, generate_table
 from fabcp.simulate import (
     SimConfig,
     bayes_risk_ratio,
@@ -91,3 +94,49 @@ def _interval_outputs() -> list[str]:
 def test_interval_bits():
     got = hashlib.sha256("\n".join(_interval_outputs()).encode()).hexdigest()
     assert got == INTERVAL_DIGEST, got
+
+
+PIPELINE_DIGEST = "1ed8bda0a0c775c089b17f9eb1e5ff394167b36d90736f3842cc15fdfb0c861a"
+
+
+def _criterion_11_table(J: int, seed: int) -> AreaTable:
+    rng = np.random.default_rng(seed)
+    table, _ = generate_table(J=J, n_range=(3, 10), beta=[1.0, 1.0], eta2=0.5, rho=0.7,
+                              a=6.0, b=4.0, rng=rng, extent=8.0)
+    return table
+
+
+def _pipeline_tables() -> list[AreaTable]:
+    # J = 50, seed 3: squaring one area's deviations with numpy instead of
+    # Python floats moves its sum of squares by an ulp, and FAB records with it.
+    seed3 = _criterion_11_table(50, 3)
+    small = _criterion_11_table(12, 4)
+    # Areas with a single observation: skipped, but still in every other fit.
+    singles = AreaTable(ids=small.ids, X=small.X, centroids=small.centroids,
+                        samples=[s[:1] if j in (2, 5, 9) else s for j, s in enumerate(small.samples)])
+    # A rank-deficient covariate matrix: every mean-model fit fails.
+    rank_deficient = AreaTable(ids=small.ids, samples=small.samples, centroids=small.centroids,
+                               X=np.column_stack([np.ones(small.J), 2.0 * np.ones(small.J)]))
+    # One centroid far from the rest: the weights reject the map.
+    far = small.centroids.copy()
+    far[7] += 1e4
+    isolated = AreaTable(ids=small.ids, samples=small.samples, X=small.X, centroids=far)
+    return [seed3, singles, rank_deficient, isolated]
+
+
+def _record_fields(rec) -> list[str]:
+    iv = rec.interval
+    return [rec.area_id, str(rec.n), rec.alpha_j.hex(), rec.method, iv.lower.hex(),
+            iv.upper.hex(), iv.nominal_alpha.hex(), iv.achieved_level.hex(), str(iv.k),
+            rec.mu_j.hex(), rec.tau2_j.hex(), str(rec.fallback)]
+
+
+def test_pipeline_bits():
+    fields = [
+        field
+        for table in _pipeline_tables()
+        for rec in area_pipeline(table, "exact", ("fab", "dta"))
+        for field in _record_fields(rec)
+    ]
+    got = hashlib.sha256("\n".join(fields).encode()).hexdigest()
+    assert got == PIPELINE_DIGEST, got

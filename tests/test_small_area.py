@@ -9,7 +9,6 @@ import pytest
 from fabcp import small_area
 from fabcp.small_area import (
     AreaTable,
-    SpatialSpec,
     ab_marginal_loglik,
     area_pipeline,
     conditional_params,
@@ -360,6 +359,23 @@ class TestAreaPipeline:
             base.mu_j, base.tau2_j, base.sigma2_hat_j,
         )
 
+    def test_pipeline_leave_one_out_independence(self):
+        """Shifting an area's values and changing its size must not move its prior."""
+        table, _ = self._table(seed=81, J=10)
+        base = {r.area_id: r for r in area_pipeline(table, "exact") if not r.fallback}
+        assert len(base) == table.J
+        for j, y in enumerate(table.samples):
+            own = (np.append(y, y[0]) if y.size == 2 else y[:-1]) + 100.0
+            mutated = AreaTable(
+                ids=table.ids,
+                samples=[own if i == j else s for i, s in enumerate(table.samples)],
+                X=table.X,
+                centroids=table.centroids,
+            )
+            rec = next(r for r in area_pipeline(mutated, "exact") if r.area_id == table.ids[j])
+            assert rec.n != y.size and not rec.fallback
+            assert (rec.mu_j, rec.tau2_j) == (base[rec.area_id].mu_j, base[rec.area_id].tau2_j)
+
     def test_matched_neighbors_make_fab_narrower(self):
         """An area whose mean its neighbors share should usually win."""
         rng = np.random.default_rng(2001)
@@ -404,20 +420,47 @@ class TestAreaPipeline:
         with pytest.raises(ValueError):
             area_pipeline(table, 0.25)
 
-    @pytest.mark.parametrize("methods", [(), ("bogus",), ("fab", "bogus"), ("dta", "FAB")])
-    def test_methods_checked_before_any_fit(self, monkeypatch, methods):
+    @pytest.mark.parametrize("alpha_mode, methods, match", [
+        pytest.param(0.25, (), "methods", id="methods0"),
+        pytest.param(0.25, ("bogus",), "methods", id="methods1"),
+        pytest.param(0.25, ("fab", "bogus"), "methods", id="methods2"),
+        pytest.param(0.25, ("dta", "FAB"), "methods", id="methods3"),
+        pytest.param(1.5, ("fab",), "alpha_mode", id="alpha1.5"),
+        pytest.param(0.0, ("fab",), "alpha_mode", id="alpha0"),
+        pytest.param(math.nan, ("fab", "dta"), "alpha_mode", id="alpha-nan"),
+        pytest.param(-0.25, ("dta",), "alpha_mode", id="alpha-negative"),
+    ])
+    def test_arguments_checked_before_any_fit(self, monkeypatch, alpha_mode, methods, match):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fitted an area before checking methods")
+            raise AssertionError("fitted an area before checking the arguments")
 
         monkeypatch.setattr(small_area, "loo_conformal_params", no_fit)
         table, _ = self._table()
-        with pytest.raises(ValueError, match="methods"):
-            area_pipeline(table, 0.25, methods=methods)
-        # With no area of n_j >= 2 there is nothing to fit; bad methods still raise.
+        with pytest.raises(ValueError, match=match):
+            area_pipeline(table, alpha_mode, methods=methods)
+        # With no area of n_j >= 2 there is nothing to fit; bad arguments still raise.
         single = AreaTable(ids=table.ids, samples=[s[:1] for s in table.samples],
                            X=table.X, centroids=table.centroids)
-        with pytest.raises(ValueError, match="methods"):
-            area_pipeline(single, 0.25, methods=methods)
+        with pytest.raises(ValueError, match=match):
+            area_pipeline(single, alpha_mode, methods=methods)
+
+    def test_rejected_map_falls_back_without_any_fit(self, monkeypatch):
+        """One far centroid: the full weights reject the map before any fit."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted an area on a map the weights reject")
+
+        monkeypatch.setattr(small_area, "estimate_ab", no_fit)
+        table, _ = self._table()
+        far = table.centroids.copy()
+        far[3] += 1e4
+        isolated = AreaTable(ids=table.ids, samples=table.samples, X=table.X, centroids=far)
+        records = area_pipeline(isolated, "exact", methods=("fab", "dta"))
+        fab = [r for r in records if r.method == "fab"]
+        dta = {r.area_id: r.interval for r in records if r.method == "dta"}
+        assert len(fab) == len(dta) == table.J
+        for r in fab:
+            assert r.fallback and math.isnan(r.mu_j) and math.isnan(r.tau2_j)
+            assert r.interval == dta[r.area_id]
 
     def test_failed_fit_falls_back_to_dta(self):
         # a rank-deficient covariate matrix breaks the mean-model fit; the
@@ -457,19 +500,6 @@ class TestAreaPipeline:
         assert counts["fit"] == int(np.sum(table.n >= 2)) > 0
         assert counts["eigh"] == 0
         assert counts["dsytrd"] == 15 * counts["fit"]
-
-
-class TestSpatialSpec:
-    def test_validation_and_covariance(self):
-        W = np.array([[0.0, 1.0], [1.0, 0.0]])
-        spec = SpatialSpec(W=W, rho=0.5, eta2=2.0, beta=np.zeros(1))
-        np.testing.assert_allclose(spec.covariance(), 2.0 * sar_covariance(0.5, W), rtol=1e-15)
-        with pytest.raises(ValueError):
-            SpatialSpec(W=W, rho=1.0, eta2=2.0, beta=np.zeros(1))
-        with pytest.raises(ValueError):
-            SpatialSpec(W=W, rho=0.5, eta2=0.0, beta=np.zeros(1))
-        with pytest.raises(ValueError):
-            SpatialSpec(W=np.array([[0.5, 0.5], [1.0, 0.0]]), rho=0.2, eta2=1.0, beta=np.zeros(1))
 
 
 class TestGenerateTable:
