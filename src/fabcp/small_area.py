@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from ._sum import fsum
@@ -264,71 +263,229 @@ def ab_marginal_loglik(a: float, b: float, s2_list: Sequence[tuple[float, int]])
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
     s2, n = _split_s2(s2_list)
-    return _ab_loglik(a, b, s2, (n - 1.0) / 2.0)
+    return float(_ab_loglik(np.array([a]), np.array([b]), s2[None], (n[None] - 1.0) / 2.0)[0])
 
 
-def _ab_loglik(a: float, b: float, s2: np.ndarray, half_n1: np.ndarray) -> float:
-    """The kernel of :func:`ab_marginal_loglik`; ``half_n1`` is ``(n - 1) / 2``."""
-    half_post = a / 2.0 + half_n1
-    return float(
-        np.sum(gammaln(half_post))
-        - s2.size * gammaln(a / 2.0)
-        + s2.size * (a / 2.0) * math.log(b / 2.0)
-        - np.sum(half_post * np.log((b + s2) / 2.0))
+def _ab_loglik(a: np.ndarray, b: np.ndarray, s2: np.ndarray, half_n1: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`ab_marginal_loglik` for R problems at once.
+
+    Row r holds one problem: ``(a[r], b[r])`` and its areas' ``s2[r]`` and
+    ``half_n1[r] = (n - 1) / 2``. ``log(b / 2)`` is taken per row with
+    ``math.log``, as the one-problem form always took it: numpy's
+    vectorized logarithm can differ from the C library's in the last bit.
+    """
+    half_a = a / 2.0
+    half_post = half_a[:, None] + half_n1
+    log_half_b = np.array([math.log(v / 2.0) for v in b.tolist()])
+    k = s2.shape[1]
+    return (
+        np.add.reduce(gammaln(half_post), axis=1)
+        - k * gammaln(half_a)
+        + k * half_a * log_half_b
+        - np.add.reduce(half_post * np.log((b[:, None] + s2) / 2.0), axis=1)
     )
 
 
 _LOG_A_BOX = (-6.0, 7.0)
 _LOG_B_BOX = (-12.0, 12.0)
 
+# Nelder-Mead stopping rules: simplex spread in x and in f, iterations, and
+# objective evaluations.
+_NM_XATOL, _NM_FATOL = 1e-9, 1e-11
+_NM_MAXITER, _NM_MAXFEV = 2000, 4000
+# scipy's messages for the two ways a search stops short (status 1 and 2).
+_NM_MESSAGES = {
+    1: "Maximum number of function evaluations has been exceeded.",
+    2: "Maximum number of iterations has been exceeded.",
+}
+
+
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's vertices in the order of ``np.argsort`` of its values, as scipy sorts them."""
+    ind = np.argsort(fsim, axis=1)
+    row = np.arange(fsim.shape[0])[:, None]
+    return sim[row, ind], fsim[row, ind]
+
+
+def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize R independent problems in lockstep by Nelder-Mead.
+
+    ``x0`` is (R, N); ``f(points, rows)`` returns the objective of problem
+    ``rows[i]`` at ``points[i]``. Each iteration makes at most three calls
+    of ``f``: every running row's reflection, then the expansion or
+    contraction points, then the shrinks. A row leaves the arrays when it
+    stops.
+
+    Every row takes the steps of scipy 1.17's ``minimize(method=
+    "Nelder-Mead")`` with ``xatol`` 1e-9, ``fatol`` 1e-11, ``maxiter`` 2000
+    and ``maxfev`` 4000, in the same arithmetic: its initial simplex, its
+    per-row ``argsort`` of the vertex values, and its evaluation budget,
+    which can run out in the middle of an iteration. So each row ends on
+    scipy's vertex, bit for bit.
+
+    Returns the best vertex of each row, its status (0 converged, 1
+    evaluation budget spent, 2 iteration limit) and its evaluation count.
+    """
+    R, N = x0.shape
+    best, status, nfev = np.empty((R, N)), np.empty(R, dtype=int), np.empty(R, dtype=int)
+    rows = np.arange(R)
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    for k in range(N):
+        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    fsim = f(sim.reshape(-1, N), np.repeat(rows, N + 1)).reshape(R, N + 1)
+    # scipy sorts the initial simplex twice.
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+    left = np.full(R, _NM_MAXFEV - (N + 1))  # evaluations left
+    nit = np.ones(R, dtype=int)
+    vertex = np.arange(N)
+    while rows.size:
+        spent, capped = left <= 0, nit >= _NM_MAXITER
+        stop = spent | capped | (
+            (np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= _NM_XATOL)
+            & (np.maximum.reduce(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _NM_FATOL)
+        )
+        if stop.any():
+            done = rows[stop]
+            best[done] = sim[stop, 0]
+            status[done] = np.where(spent[stop], 1, np.where(capped[stop], 2, 0))
+            nfev[done] = _NM_MAXFEV - left[stop]
+            go = ~stop
+            rows, sim, fsim, left, nit = rows[go], sim[go], fsim[go], left[go], nit[go]
+            if not rows.size:
+                break
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = f(xr, rows)
+        left -= 1
+
+        expand = fxr < fsim[:, 0]
+        take_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~take_r & (fxr < fsim[:, -1])
+        # A row whose budget is spent stops here, where scipy's call raises.
+        second = ~take_r & (left > 0)
+        x2 = np.where(
+            expand[:, None],
+            3 * xbar - 2 * worst,
+            np.where(outside[:, None], 1.5 * xbar - 0.5 * worst, 0.5 * xbar + 0.5 * worst),
+        )
+        f2 = np.full(rows.size, np.nan)
+        if second.any():
+            f2[second] = f(x2[second], rows[second])
+            left -= second
+
+        use_r = take_r | (second & expand & ~(f2 < fxr))
+        use_2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
+        sim[:, -1] = np.where(use_r[:, None], xr, np.where(use_2[:, None], x2, worst))
+        fsim[:, -1] = np.where(use_r, fxr, np.where(use_2, f2, fsim[:, -1]))
+        completed = take_r | use_r | use_2  # iterations the budget did not cut short
+
+        shrink = np.flatnonzero(second & ~completed)
+        if shrink.size:
+            # Vertices are evaluated only while budget is left. A vertex
+            # left unevaluated keeps its old value and its row stops, so
+            # where that vertex moved to is never read.
+            budget = left[shrink, None]
+            low = sim[shrink, :1]
+            sim[shrink, 1:] = low + 0.5 * (sim[shrink, 1:] - low)
+            i, j = np.nonzero(budget > vertex)
+            fsim[shrink[i], j + 1] = f(sim[shrink[i], j + 1], rows[shrink[i]])
+            left[shrink] -= np.minimum(budget[:, 0], N)
+            completed[shrink] = budget[:, 0] >= N
+        nit += completed
+        sim, fsim = _sort_simplex(sim, fsim)
+    return best, status, nfev
+
+
+def _clamp_log_ab(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (np.minimum(np.maximum(x[:, 0], _LOG_A_BOX[0]), _LOG_A_BOX[1]),
+            np.minimum(np.maximum(x[:, 1], _LOG_B_BOX[0]), _LOG_B_BOX[1]))
+
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    """``math.exp`` per entry: numpy's vectorized exponential can differ in the last bit."""
+    return np.array([math.exp(x) for x in v.tolist()])
+
+
+def _fit_ab(s2: np.ndarray, n: np.ndarray) -> list[tuple[float, float] | EstimationError]:
+    """Maximum-likelihood (a, b) of R problems, one per row of ``s2`` and ``n``.
+
+    The search runs in ``(log a, log b)`` from method-of-moments values and
+    is clamped to a generous box: when the area variances look homogeneous
+    the likelihood rises along an ``a -> inf`` ridge, and the clamped fit
+    settles at the box edge, i.e. near-complete pooling. A row whose
+    search does not converge gets an :class:`EstimationError` carrying the
+    best point found.
+    """
+    v = s2 / (n - 1.0)
+    m = np.mean(v, axis=1)
+    m[m <= 0.0] = 1e-8
+    var = np.var(v, axis=1)
+    spread = var > 0.0
+    alpha0 = np.full(m.size, 10.0)
+    alpha0[spread] = m[spread] * m[spread] / var[spread] + 2.0
+    alpha0 = np.minimum(np.maximum(alpha0, 2.2), 100.0)
+    beta0 = m * (alpha0 - 1.0)
+    x0 = np.log(np.column_stack([2.0 * alpha0, 2.0 * beta0]))
+
+    half_n1 = (n - 1.0) / 2.0
+
+    def neg_ll(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        la, lb = _clamp_log_ab(x)
+        return -_ab_loglik(_exp(la), _exp(lb), s2[rows], half_n1[rows])
+
+    x, status, _ = _nelder_mead(neg_ll, x0)
+    la, lb = _clamp_log_ab(x)
+    out: list[tuple[float, float] | EstimationError] = []
+    for a_hat, b_hat, st in zip(_exp(la).tolist(), _exp(lb).tolist(), status.tolist()):
+        if st == 0:
+            out.append((a_hat, b_hat))
+        else:
+            out.append(EstimationError(
+                f"variance hyperparameter fit did not converge: {_NM_MESSAGES[st]}",
+                best_point=(a_hat, b_hat),
+            ))
+    return out
+
 
 def estimate_ab(s2_list: Sequence[tuple[float, int]]) -> tuple[float, float]:
     """Maximum-likelihood inverse-gamma hyperparameters from area variances.
 
     Runs a Nelder-Mead search in ``(log a, log b)`` started from method-of-
-    moments values. The search is clamped to a generous box: when the area
-    variances look homogeneous the likelihood rises along an ``a -> inf``
-    ridge, and the clamped fit settles at the box edge, i.e. near-complete
-    pooling. Raises :class:`EstimationError` with the best point found if
-    the simplex fails to converge.
+    moments values (see :func:`_fit_ab`). Raises :class:`EstimationError`
+    with the best point found if the simplex fails to converge.
     """
     s2, n = _split_s2(s2_list)
-    v = s2 / (n - 1.0)
-    m = float(np.mean(v))
-    if m <= 0.0:
-        m = 1e-8
-    var = float(np.var(v))
-    alpha0 = m * m / var + 2.0 if var > 0.0 else 10.0
-    alpha0 = min(max(alpha0, 2.2), 100.0)
-    beta0 = m * (alpha0 - 1.0)
-    x0 = np.log([2.0 * alpha0, 2.0 * beta0])
+    (fit,) = _fit_ab(s2[None], n[None])
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit
 
-    half_n1 = (n - 1.0) / 2.0
 
-    def clamp(x: np.ndarray) -> tuple[float, float]:
-        return (
-            min(max(float(x[0]), _LOG_A_BOX[0]), _LOG_A_BOX[1]),
-            min(max(float(x[1]), _LOG_B_BOX[0]), _LOG_B_BOX[1]),
-        )
+def _loo_ab_fits(table: AreaTable) -> dict[int, tuple[float, float] | Exception]:
+    """Every area's leave-one-out (a, b) fit, in one lockstep search.
 
-    def neg_ll(x: np.ndarray) -> float:
-        la, lb = clamp(x)
-        return -_ab_loglik(math.exp(la), math.exp(lb), s2, half_n1)
-
-    res = minimize(
-        neg_ll,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 2000, "maxfev": 4000},
-    )
-    la, lb = clamp(res.x)
-    a_hat, b_hat = math.exp(la), math.exp(lb)
-    if not res.success:
-        raise EstimationError(
-            f"variance hyperparameter fit did not converge: {res.message}",
-            best_point=(a_hat, b_hat),
-        )
-    return a_hat, b_hat
+    Keyed by the areas with ``n_j >= 2``. Row r of the search holds the
+    sums of squares of every such area but the r-th, in table order: the
+    problem :func:`estimate_ab` solves for that area, solved in the same
+    arithmetic. An area whose fit fails maps to the error ``estimate_ab``
+    raises for it.
+    """
+    areas = np.flatnonzero(table.n >= 2)
+    m = areas.size
+    if m < 3:
+        return {j: ValueError("need at least two areas with n >= 2") for j in areas.tolist()}
+    others = ~np.eye(m, dtype=bool)
+    s2 = np.broadcast_to(table.s2[areas], (m, m))[others].reshape(m, m - 1)
+    n = np.broadcast_to(table.n[areas], (m, m))[others].reshape(m, m - 1)
+    ok = np.all(np.isfinite(s2) & (s2 >= 0.0), axis=1)
+    fits: dict[int, tuple[float, float] | Exception] = {
+        j: ValueError("sums of squares must be finite and nonnegative") for j in areas[~ok].tolist()
+    }
+    if ok.any():
+        fits.update(zip(areas[ok].tolist(), _fit_ab(s2[ok], n[ok])))
+    return fits
 
 
 def eb_variances(
@@ -650,17 +807,26 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
 
     A map whose full weights are rejected raises before any fit.
     """
-    W_full = table.weights
+    table.weights  # a rejected map raises here
+    n, s2 = table.n, table.s2
+    a_hat, b_hat = estimate_ab([(s2[i], int(n[i])) for i in range(table.J) if i != j and n[i] >= 2])
+    return _prior_given_ab(table, j, a_hat, b_hat)
+
+
+def _prior_given_ab(table: AreaTable, j: int, a_hat: float, b_hat: float) -> AreaConformalParams:
+    """Area ``j``'s conformal prior from its leave-one-out (a, b) fit.
+
+    The steps after (a, b): empirical-Bayes variances, the rest-of-map
+    weights, the mean model over the other areas, and the conditional prior.
+    """
     rest = [i for i in range(table.J) if i != j]
     n, s2 = table.n, table.s2
-
-    a_hat, b_hat = estimate_ab([(s2[i], int(n[i])) for i in rest if n[i] >= 2])
     all_pairs = [(s2[i] if n[i] >= 2 else 0.0, int(n[i])) for i in rest]
     sigma2_rest, sigma2_j = eb_variances(a_hat, b_hat, all_pairs)
 
     W_rest = sq_exp_weights(table.centroids[rest])
     fit = fit_mean_model(table.ybar[rest], sigma2_rest / n[rest], table.X[rest], W_rest)
-    return conditional_params(j, fit.beta, fit.eta2, fit.rho, fit.theta, W_full, table.X, sigma2_j)
+    return conditional_params(j, fit.beta, fit.eta2, fit.rho, fit.theta, table.weights, table.X, sigma2_j)
 
 
 def area_pipeline(
@@ -681,9 +847,12 @@ def area_pipeline(
         paired rows used for width comparisons.
 
     Every argument is checked, and a bad one raises ``ValueError``, before
-    any fit. Areas whose hyperparameter fit fails get a DTA interval
-    flagged as a fallback, so every returned record keeps the conformal
-    coverage guarantee.
+    any fit. A map whose full weights are rejected is not fitted at all;
+    otherwise the leave-one-out (a, b) problems of all areas are solved in
+    one lockstep search, bit-equal to one ``estimate_ab`` call per area.
+    Areas whose hyperparameter fit fails get a DTA interval flagged as a
+    fallback, so every returned record keeps the conformal coverage
+    guarantee.
     """
     if table.J < 3:
         raise ValueError("the pipeline needs at least three areas")
@@ -691,6 +860,15 @@ def area_pipeline(
         raise ValueError(f"alpha_mode must be 'exact' or a float in (0, 1), got {alpha_mode!r}")
     if not methods or not set(methods) <= {"fab", "dta"}:
         raise ValueError(f"methods must be a nonempty tuple of 'fab' and 'dta', got {methods!r}")
+
+    ab_fits: dict[int, tuple[float, float] | Exception] = {}
+    if "fab" in methods:
+        try:
+            table.weights
+        except ValueError as exc:
+            ab_fits = {j: exc for j in range(table.J)}
+        else:
+            ab_fits = _loo_ab_fits(table)
 
     out: list[AreaPrediction] = []
     for j, (area, y) in enumerate(zip(table.ids, table.samples)):
@@ -700,7 +878,9 @@ def area_pipeline(
         params: AreaConformalParams | None = None
         if "fab" in methods:
             try:
-                params = loo_conformal_params(table, j)
+                if isinstance(ab_fits[j], Exception):
+                    raise ab_fits[j]
+                params = _prior_given_ab(table, j, *ab_fits[j])
             except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
                 logger.warning("area %s: falling back to DTA (%s)", area, exc)
         for method in methods:
@@ -713,6 +893,17 @@ def area_pipeline(
                 out.append(AreaPrediction(area, y.size, alpha_j, method, dta_interval(y, alpha_j),
                                           fallback=method == "fab"))
     return out
+
+
+def __getattr__(name: str):
+    # perfbench's traced runs wrap ``small_area.minimize`` by name, although
+    # the package no longer calls it; resolved lazily so that importing
+    # fabcp does not load scipy.optimize. ROADMAP item 1 removes this.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- synthetic data -------------------------------------------------------------

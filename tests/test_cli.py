@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fabcp
 from fabcp.cli import main
 
 
@@ -275,3 +280,15 @@ class TestSimulateCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("mean_lower,mean_upper")
+
+
+def test_import_does_not_load_scipy_optimize():
+    """Every command pays the import; scipy.optimize is off the package's paths."""
+    code = (
+        "import sys, fabcp, fabcp.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded at import'\n"
+        "from scipy.optimize import minimize\n"
+        "assert fabcp.small_area.minimize is minimize\n"
+    )
+    src = str(Path(fabcp.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

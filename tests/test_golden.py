@@ -6,7 +6,8 @@ with ``math.fsum`` itself doing the summing; a change of summation order or
 rounding anywhere on these paths moves them. The inputs straddle the
 summation kernel's size cutoff and its block size. The small-area digest
 pins every field of the leave-one-area-out pipeline's records, fallbacks
-included.
+included, and the (a, b) digest every leave-one-out variance fit, taken
+when each was its own scipy Nelder-Mead search.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 
 from fabcp.baselines import dta_interval
 from fabcp.fab import fab_interval_from_precision
-from fabcp.small_area import AreaTable, area_pipeline, generate_table
+from fabcp.small_area import AreaTable, EstimationError, _loo_ab_fits, area_pipeline, generate_table
 from fabcp.simulate import (
     SimConfig,
     bayes_risk_ratio,
@@ -140,3 +141,34 @@ def test_pipeline_bits():
     ]
     got = hashlib.sha256("\n".join(fields).encode()).hexdigest()
     assert got == PIPELINE_DIGEST, got
+
+
+AB_FIT_DIGEST = "20de028b630d22e394a8f8afd181412a61b735c14646926ef7a224283cf76476"
+
+
+def _ab_fit_tables() -> list[AreaTable]:
+    tables = [_criterion_11_table(50, seed) for seed in range(4)]
+    t = _criterion_11_table(30, 5)
+    tables.append(AreaTable(ids=t.ids, X=t.X, centroids=t.centroids,
+                            samples=[s[:1] if j % 4 == 1 else s for j, s in enumerate(t.samples)]))
+    # A flat map: area007 (and area022 at beta = [1, 0.5]) spend all 4000 evaluations.
+    for beta in ([1.0, 1.0], [1.0, 0.5]):
+        table, _ = generate_table(J=40, n_range=(3, 10), beta=beta, eta2=1e-8, rho=0.0, a=6.0,
+                                  b=4.0, rng=np.random.default_rng(902), extent=6.0)
+        tables.append(table)
+    return tables
+
+
+def test_ab_fit_bits():
+    """(a-hat, b-hat, converged) of every leave-one-out variance fit, best points of failures included."""
+    fields = []
+    for table in _ab_fit_tables():
+        fits = _loo_ab_fits(table)
+        for j in np.flatnonzero(table.n >= 2).tolist():
+            fit = fits[j]
+            converged = not isinstance(fit, EstimationError)
+            a, b = fit if converged else fit.best_point
+            fields += [table.ids[j], a.hex(), b.hex(), str(converged)]
+    got = hashlib.sha256("\n".join(fields).encode()).hexdigest()
+    assert len(fields) == 4 * 302
+    assert got == AB_FIT_DIGEST, got

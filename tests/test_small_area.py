@@ -1,5 +1,6 @@
 """Tests for the spatial working model and leave-one-area-out pipeline."""
 
+import logging
 import math
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from fabcp import small_area
 from fabcp.small_area import (
     AreaTable,
+    EstimationError,
     ab_marginal_loglik,
     area_pipeline,
     conditional_params,
@@ -121,6 +123,200 @@ class TestEstimateAB:
     def test_needs_two_informative_areas(self):
         with pytest.raises(ValueError):
             estimate_ab([(1.0, 5), (0.0, 1)])
+
+
+def _scipy_ab(s2, n):
+    """``estimate_ab`` as one scipy Nelder-Mead search per problem: the oracle.
+
+    Returns the clamped best point as (a, b), scipy's success flag, its
+    evaluation count and its message.
+    """
+    from scipy.optimize import minimize
+    from scipy.special import gammaln
+
+    v = s2 / (n - 1.0)
+    m = float(np.mean(v))
+    if m <= 0.0:
+        m = 1e-8
+    var = float(np.var(v))
+    alpha0 = m * m / var + 2.0 if var > 0.0 else 10.0
+    alpha0 = min(max(alpha0, 2.2), 100.0)
+    beta0 = m * (alpha0 - 1.0)
+    x0 = np.log([2.0 * alpha0, 2.0 * beta0])
+    half_n1 = (n - 1.0) / 2.0
+
+    def clamp(x):
+        return min(max(float(x[0]), -6.0), 7.0), min(max(float(x[1]), -12.0), 12.0)
+
+    def neg_ll(x):
+        la, lb = clamp(x)
+        a, b = math.exp(la), math.exp(lb)
+        half_post = a / 2.0 + half_n1
+        return -float(
+            np.sum(gammaln(half_post))
+            - s2.size * gammaln(a / 2.0)
+            + s2.size * (a / 2.0) * math.log(b / 2.0)
+            - np.sum(half_post * np.log((b + s2) / 2.0))
+        )
+
+    res = minimize(neg_ll, x0, method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-11, "maxiter": 2000, "maxfev": 4000})
+    la, lb = clamp(res.x)
+    return (math.exp(la), math.exp(lb)), bool(res.success), int(res.nfev), res.message
+
+
+def _criterion_11_table(J, seed):
+    table, _ = generate_table(J=J, n_range=(3, 10), beta=[1.0, 1.0], eta2=0.5, rho=0.7, a=6.0,
+                              b=4.0, rng=np.random.default_rng(seed), extent=8.0)
+    return table
+
+
+def _singles_table():
+    """A criterion-11 map where every fourth area has one observation."""
+    t = _criterion_11_table(30, 5)
+    return AreaTable(ids=t.ids, X=t.X, centroids=t.centroids,
+                     samples=[s[:1] if j % 4 == 1 else s for j, s in enumerate(t.samples)])
+
+
+def _seed902_table(beta):
+    """A flat map on which some areas' (a, b) searches spend all 4000 evaluations."""
+    table, _ = generate_table(J=40, n_range=(3, 10), beta=beta, eta2=1e-8, rho=0.0, a=6.0, b=4.0,
+                              rng=np.random.default_rng(902), extent=6.0)
+    return table
+
+
+def _loo_problem(table, j):
+    rest = [i for i in range(table.J) if i != j and table.n[i] >= 2]
+    return table.s2[rest], table.n[rest]
+
+
+_ORACLE_TABLES = {
+    **{f"criterion11-seed{s}": (lambda s=s: _criterion_11_table(50, s)) for s in range(4)},
+    "singles": _singles_table,
+    "seed902": lambda: _seed902_table([1.0, 1.0]),
+    "seed902-beta0.5": lambda: _seed902_table([1.0, 0.5]),
+}
+
+
+# Objectives for the kernel alone, written so that a row of the batched call
+# and scipy's scalar call do the same arithmetic: a curved valley, four wells
+# (a shrunk vertex can beat the best one) and a plateau in x0 beyond
+# |x0| = 1 (tied vertex values).
+_KERNEL_OBJECTIVES = {
+    "rosenbrock": lambda x: 100.0 * (x[..., 1] - x[..., 0] * x[..., 0]) ** 2 + (1.0 - x[..., 0]) ** 2,
+    "wells": lambda x: ((x[..., 0] * x[..., 0] - 1.0) ** 2 + (x[..., 1] * x[..., 1] - 1.0) ** 2
+                        + 0.3 * x[..., 0]),
+    "plateau": lambda x: (np.minimum(np.maximum(x[..., 0], -1.0), 1.0) - 2.0) ** 2 + x[..., 1] * x[..., 1],
+}
+
+class TestLockstepNelderMead:
+    """The batched (a, b) stage against scipy's Nelder-Mead, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_OBJECTIVES))
+    def test_every_stopping_point_matches_scipy(self, monkeypatch, name):
+        """Small budgets and iteration limits stop the search at each step of an iteration."""
+        from scipy.optimize import minimize
+
+        fun = _KERNEL_OBJECTIVES[name]
+        x0 = np.array([[-1.2, 1.0], [0.0, 0.0], [3.0, -2.0], [0.5, 0.25], [0.1, -0.3], [-2.0, 0.7]])
+        limits = [(maxfev, 2000) for maxfev in range(3, 150)] + [(4000, it) for it in range(1, 40)]
+        for maxfev, maxiter in limits:
+            monkeypatch.setattr(small_area, "_NM_MAXFEV", maxfev)
+            monkeypatch.setattr(small_area, "_NM_MAXITER", maxiter)
+            best, status, nfev = small_area._nelder_mead(lambda x, rows: fun(x), x0)
+            for r, start in enumerate(x0):
+                res = minimize(fun, start, method="Nelder-Mead", options={
+                    "xatol": 1e-9, "fatol": 1e-11, "maxiter": maxiter, "maxfev": maxfev})
+                case = (maxfev, maxiter, r)
+                assert [v.hex() for v in best[r]] == [v.hex() for v in res.x], case
+                assert (int(status[r]), int(nfev[r])) == (res.status, res.nfev), case
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_TABLES))
+    def test_every_loo_problem_matches_scipy(self, monkeypatch, name):
+        table = _ORACLE_TABLES[name]()
+        runs = []
+        kernel = small_area._nelder_mead
+
+        def recorded(f, x0):
+            runs.append(kernel(f, x0))
+            return runs[-1]
+
+        monkeypatch.setattr(small_area, "_nelder_mead", recorded)
+        fits = small_area._loo_ab_fits(table)
+        ((_, status, nfev),) = runs
+        areas = np.flatnonzero(table.n >= 2)
+        assert sorted(fits) == areas.tolist() and status.size == areas.size
+        for r, j in enumerate(areas.tolist()):
+            (a, b), success, scipy_nfev, message = _scipy_ab(*_loo_problem(table, j))
+            fit = fits[j]
+            if success:
+                assert [v.hex() for v in fit] == [a.hex(), b.hex()], table.ids[j]
+            else:
+                assert isinstance(fit, EstimationError) and str(fit).endswith(message)
+                assert [v.hex() for v in fit.best_point] == [a.hex(), b.hex()], table.ids[j]
+            assert (status[r] == 0, int(nfev[r])) == (success, scipy_nfev), table.ids[j]
+
+    @pytest.mark.parametrize("beta, stalled", [
+        ([1.0, 1.0], ["area007"]),
+        ([1.0, 0.5], ["area007", "area022"]),
+    ])
+    def test_stalled_fits_fall_back_as_scipy_did(self, beta, stalled, caplog):
+        """Stalled searches stop at exactly 4000 evaluations, with scipy's reason and best point."""
+        table = _seed902_table(beta)
+        with caplog.at_level(logging.WARNING, logger="fabcp.small_area"):
+            records = area_pipeline(table, "exact", ("fab",))
+        assert [r.area_id for r in records if r.fallback] == stalled
+        reason = ("variance hyperparameter fit did not converge: "
+                  "Maximum number of function evaluations has been exceeded.")
+        assert [m.getMessage() for m in caplog.records] == [
+            f"area {area}: falling back to DTA ({reason})" for area in stalled
+        ]
+        fits = small_area._loo_ab_fits(table)
+        for area in stalled:
+            j = table.ids.index(area)
+            best, success, nfev, _ = _scipy_ab(*_loo_problem(table, j))
+            assert (success, nfev) == (False, 4000)
+            assert str(fits[j]) == reason
+            assert [v.hex() for v in fits[j].best_point] == [v.hex() for v in best]
+
+    def test_rows_equal_estimate_ab(self):
+        """Row j of the batched fit is ``estimate_ab`` over the other areas."""
+        table = _singles_table()
+        fits = small_area._loo_ab_fits(table)
+        assert sorted(fits) == np.flatnonzero(table.n >= 2).tolist()
+        assert len(fits) < table.J
+        for j, fit in fits.items():
+            s2, n = _loo_problem(table, j)
+            assert [v.hex() for v in fit] == [v.hex() for v in estimate_ab(list(zip(s2, n)))]
+
+    def test_failures_keep_estimate_ab_errors(self):
+        """Too few informative areas, or a non-finite sum of squares, fail as estimate_ab does."""
+        table = _criterion_11_table(6, 7)
+        few = AreaTable(ids=table.ids, X=table.X, centroids=table.centroids,
+                        samples=[s if j < 2 else s[:1] for j, s in enumerate(table.samples)])
+        for j, err in small_area._loo_ab_fits(few).items():
+            with pytest.raises(ValueError, match="at least two areas") as exc:
+                estimate_ab(list(zip(*_loo_problem(few, j))))
+            assert isinstance(err, ValueError) and str(err) == str(exc.value)
+
+        # An overflowing sum of squares in area 2 (the table is frozen).
+        object.__setattr__(table, "s2", np.where(np.arange(6) == 2, np.inf, table.s2))
+        fits = small_area._loo_ab_fits(table)
+        assert isinstance(fits[2], tuple)
+        for j in (0, 1, 3, 4, 5):
+            assert str(fits[j]) == "sums of squares must be finite and nonnegative"
+
+    def test_one_row_likelihood_matches_rows(self):
+        """``ab_marginal_loglik`` is one row of the batched likelihood."""
+        table = _criterion_11_table(12, 9)
+        s2, n = table.s2, table.n
+        a = np.array([0.5, 3.0, 40.0])
+        b = np.array([0.1, 2.0, 9.0])
+        rows = small_area._ab_loglik(a, b, np.tile(s2, (3, 1)), np.tile((n - 1.0) / 2.0, (3, 1)))
+        pairs = list(zip(s2, n))
+        assert [v.hex() for v in rows] == [
+            ab_marginal_loglik(x, y, pairs).hex() for x, y in zip(a.tolist(), b.tolist())
+        ]
 
 
 class TestEBVariances:
@@ -435,6 +631,7 @@ class TestAreaPipeline:
             raise AssertionError("fitted an area before checking the arguments")
 
         monkeypatch.setattr(small_area, "loo_conformal_params", no_fit)
+        monkeypatch.setattr(small_area, "_loo_ab_fits", no_fit)
         table, _ = self._table()
         with pytest.raises(ValueError, match=match):
             area_pipeline(table, alpha_mode, methods=methods)
@@ -450,6 +647,7 @@ class TestAreaPipeline:
             raise AssertionError("fitted an area on a map the weights reject")
 
         monkeypatch.setattr(small_area, "estimate_ab", no_fit)
+        monkeypatch.setattr(small_area, "_loo_ab_fits", no_fit)
         table, _ = self._table()
         far = table.centroids.copy()
         far[3] += 1e4
