@@ -2,6 +2,12 @@
 
 import logging
 import math
+import multiprocessing
+import os
+import pickle
+import re
+import threading
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -123,6 +129,13 @@ class TestEstimateAB:
     def test_needs_two_informative_areas(self):
         with pytest.raises(ValueError):
             estimate_ab([(1.0, 5), (0.0, 1)])
+
+    @pytest.mark.parametrize("best_point", [(0.1 + 0.2, 3.0e-300), None])
+    def test_estimation_error_survives_pickle(self, best_point):
+        """Errors cross a process boundary when the pipeline fits areas in workers."""
+        err = pickle.loads(pickle.dumps(EstimationError("fit did not converge", best_point=best_point)))
+        assert type(err) is EstimationError and str(err) == "fit did not converge"
+        assert err.best_point == best_point
 
 
 def _scipy_ab(s2, n):
@@ -679,6 +692,7 @@ class TestAreaPipeline:
             assert (r.interval.lower, r.interval.upper) == (twin.lower, twin.upper)
             assert math.isnan(r.mu_j)
 
+    @pytest.mark.usefixtures("one_cpu")  # calls in a forked worker would not be counted
     def test_pipeline_call_counts(self, monkeypatch):
         """Each fit makes one tridiagonal reduction per rho evaluation and no eigh."""
         table, _ = self._table(seed=86, J=8)
@@ -698,6 +712,175 @@ class TestAreaPipeline:
         assert counts["fit"] == int(np.sum(table.n >= 2)) > 0
         assert counts["eigh"] == 0
         assert counts["dsytrd"] == 15 * counts["fit"]
+
+
+def _record_bits(records) -> list[tuple]:
+    return [(r.area_id, r.n, r.alpha_j.hex(), r.method, r.interval.lower.hex(), r.interval.upper.hex(),
+             r.interval.achieved_level.hex(), r.interval.k, r.mu_j.hex(), r.tau2_j.hex(), r.fallback)
+            for r in records]
+
+
+def _pipeline_bits(table) -> list[tuple]:
+    return _record_bits(area_pipeline(table, "exact", ("fab", "dta")))
+
+
+def _singles_rank_deficient_table():
+    """J = 12 with three n_j = 1 areas and a rank-deficient X: every mean-model fit fails."""
+    t = _criterion_11_table(12, 4)
+    return AreaTable(ids=t.ids, centroids=t.centroids,
+                     samples=[s[:1] if j in (2, 5, 9) else s for j, s in enumerate(t.samples)],
+                     X=np.column_stack([np.ones(t.J), 2.0 * np.ones(t.J)]))
+
+
+def _degenerate_map(seed: int, case: str) -> AreaTable:
+    t, _ = TestAreaPipeline._table(seed=seed, J=10)
+    samples, X, centroids = list(t.samples), t.X, t.centroids.copy()
+    if case == "zero-variance-one-area":
+        samples[2] = np.full(samples[2].size, samples[2][0])
+    elif case == "zero-variance-every-area":
+        samples = [np.full(y.size, y[0]) for y in samples]
+    elif case == "coincident-pairs":
+        centroids[1], centroids[5] = centroids[0], centroids[4]
+    elif case == "coincident-all":
+        centroids[:] = centroids[0]
+    elif case == "singles":
+        samples[1], samples[4] = samples[1][:1], samples[4][:1]
+    elif case == "rank-deficient-without-area3":
+        # The second covariate is nonzero only at area 3.
+        X = np.column_stack([np.ones(t.J), np.eye(t.J)[3]])
+    return AreaTable(ids=t.ids, samples=samples, X=X, centroids=centroids)
+
+
+_needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                 reason="areas are shared out only where the process can fork")
+
+
+class TestSharedAreas:
+    """The per-area fits, shared out over the caller and forked workers."""
+
+    @_needs_fork
+    @pytest.mark.parametrize("make_table", [
+        pytest.param(lambda: _criterion_11_table(50, 3), id="criterion11-seed3"),
+        pytest.param(_singles_rank_deficient_table, id="singles-rank-deficient"),
+    ])
+    def test_records_do_not_depend_on_cpu_count(self, pin_cpus, monkeypatch, make_table):
+        table = make_table()
+        fitted = sorted(j for j, fit in small_area._loo_ab_fits(table).items()
+                        if not isinstance(fit, Exception))
+        prior_given_ab = small_area._prior_given_ab
+        runs = {}
+        for cpus in (1, 3):
+            pin_cpus(cpus)
+            in_caller = []
+
+            def counted(table, j, *ab):
+                in_caller.append(j)  # a forked worker appends to its own copy
+                return prior_given_ab(table, j, *ab)
+
+            monkeypatch.setattr(small_area, "_prior_given_ab", counted)
+            runs[cpus] = _pipeline_bits(table)
+            assert multiprocessing.active_children() == []
+            assert in_caller == fitted[::cpus]
+        assert runs[3] == runs[1]
+
+    @pytest.mark.parametrize("area", [0, 1], ids=["caller-share", "worker-share"])
+    def test_error_in_one_area_reraises_in_caller(self, pin_cpus, monkeypatch, area):
+        table, _ = TestAreaPipeline._table(seed=80, J=12)
+        pin_cpus(3)
+        prior_given_ab = small_area._prior_given_ab
+
+        def broken(table, j, *ab):
+            if j == area:
+                raise TypeError(f"injected into area {j}")
+            return prior_given_ab(table, j, *ab)
+
+        monkeypatch.setattr(small_area, "_prior_given_ab", broken)
+        with pytest.raises(TypeError, match=f"injected into area {area}$") as excinfo:
+            area_pipeline(table, "exact", ("fab", "dta"))
+        assert multiprocessing.active_children() == []
+        # A worker's frames come back as a note on the error.
+        assert ", in broken\n" in "".join(traceback.format_exception(excinfo.value))
+
+    @_needs_fork
+    def test_worker_that_dies_is_reported(self, pin_cpus, monkeypatch):
+        table, _ = TestAreaPipeline._table(seed=80, J=12)
+        pin_cpus(2)
+        caller, prior_given_ab = os.getpid(), small_area._prior_given_ab
+
+        def die_in_worker(table, j, *ab):
+            if os.getpid() != caller:
+                os._exit(3)
+            return prior_given_ab(table, j, *ab)
+
+        monkeypatch.setattr(small_area, "_prior_given_ab", die_in_worker)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            area_pipeline(table, "exact", ("fab",))
+        assert multiprocessing.active_children() == []
+
+    @_needs_fork
+    def test_process_with_threads_fits_every_area_itself(self, pin_cpus, monkeypatch):
+        """A fork copies only the calling thread, so a process running others does not fork."""
+        table, _ = TestAreaPipeline._table(seed=80, J=8)
+        pin_cpus(3)
+        prior_given_ab, in_caller = small_area._prior_given_ab, []
+
+        def counted(table, j, *ab):
+            in_caller.append(j)
+            return prior_given_ab(table, j, *ab)
+
+        monkeypatch.setattr(small_area, "_prior_given_ab", counted)
+        stop = threading.Event()
+        waiting = threading.Thread(target=stop.wait)
+        waiting.start()
+        try:
+            area_pipeline(table, "exact", ("fab",))
+        finally:
+            stop.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+        assert in_caller == list(range(table.J))
+
+    @_needs_fork
+    def test_runs_in_a_pool_worker(self, pin_cpus):
+        """A daemonic process may not fork workers, so it fits every area itself."""
+        table, _ = TestAreaPipeline._table(seed=80, J=8)
+        pin_cpus(3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(_pipeline_bits, (table,))
+        assert got == _pipeline_bits(table)
+
+    @pytest.mark.parametrize("case", [
+        "zero-variance-one-area", "zero-variance-every-area", "coincident-pairs", "coincident-all",
+        "singles", "rank-deficient-without-area3",
+    ])
+    @pytest.mark.parametrize("seed", [90, 91, 92, 93])
+    def test_degenerate_maps_give_defined_records(self, pin_cpus, caplog, seed, case):
+        """Every area of n_j >= 2 gets finite records; a FAB fallback names its reason."""
+        table = _degenerate_map(seed, case)
+        pin_cpus(1)
+        serial = _pipeline_bits(table)
+        caplog.clear()
+        pin_cpus(2)
+        with caplog.at_level(logging.WARNING, logger="fabcp.small_area"):
+            records = area_pipeline(table, "exact", ("fab", "dta"))
+        assert multiprocessing.active_children() == []
+        assert _record_bits(records) == serial
+
+        expected = [(area, m) for area, n in zip(table.ids, table.n) if n >= 2 for m in ("fab", "dta")]
+        assert [(r.area_id, r.method) for r in records] == expected
+        dta = {r.area_id: r.interval for r in records if r.method == "dta"}
+        fallbacks = [r for r in records if r.fallback]
+        for r in records:
+            assert math.isfinite(r.interval.lower) and r.interval.lower <= r.interval.upper
+            if r.method == "fab" and not r.fallback:
+                assert math.isfinite(r.mu_j) and 0.0 < r.tau2_j < math.inf
+        for r in fallbacks:
+            assert r.method == "fab" and r.interval == dta[r.area_id] and math.isnan(r.mu_j)
+        reasons = [re.fullmatch(r"area (\w+): falling back to DTA \((.+)\)", m.getMessage()).groups()
+                   for m in caplog.records]
+        assert [area for area, _ in reasons] == [r.area_id for r in fallbacks]
+        if case == "rank-deficient-without-area3":
+            assert ("area003", "covariate matrix is rank deficient") in reasons
 
 
 class TestGenerateTable:
