@@ -1,7 +1,9 @@
 """Command line interface: prediction, small-area runs, sweeps, data generation.
 
-Exit codes: 0 success, 1 invalid flags, 2 malformed input data (reported
-with a line number), 3 rank-deficient covariate matrix.
+Exit codes: 0 success, 1 invalid flags (an input path that cannot be read
+counts as one), 2 malformed input data, such as a non-numeric or
+non-finite field (reported with a line number), 3 rank-deficient
+covariate matrix. Every error is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -63,10 +65,26 @@ def _dump_json(obj: dict) -> str:
 # -- loaders -------------------------------------------------------------------
 
 
+def _open_input(path: str):
+    """``path`` opened for reading; a path that cannot be read is a bad flag (exit 1)."""
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _finite(text: str) -> float:
+    """``float(text)``; raises ``ValueError`` for text that is not a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def load_value_csv(path: str) -> np.ndarray:
     """Read a one-column CSV with header ``value``."""
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["value"]:
@@ -77,9 +95,9 @@ def load_value_csv(path: str) -> np.ndarray:
             if len(row) != 1:
                 raise CSVFormatError(path, line_no, f"expected 1 column, found {len(row)}")
             try:
-                values.append(float(row[0]))
+                values.append(_finite(row[0]))
             except ValueError:
-                raise CSVFormatError(path, line_no, f"not a number: {row[0]!r}") from None
+                raise CSVFormatError(path, line_no, f"not a finite number: {row[0]!r}") from None
     if not values:
         raise CSVFormatError(path, 2, "no data rows")
     return np.array(values)
@@ -95,7 +113,7 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
     ids: list[str] = []
     centroids: list[list[float]] = []
     covs: list[list[float]] = []
-    with open(areas_path, newline="", encoding="utf-8") as fh:
+    with _open_input(areas_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 3 or header[0].strip() != "area_id":
@@ -107,9 +125,9 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
             if len(row) != width:
                 raise CSVFormatError(areas_path, line_no, f"expected {width} columns, found {len(row)}")
             try:
-                nums = [float(v) for v in row[1:]]
+                nums = [_finite(v) for v in row[1:]]
             except ValueError:
-                raise CSVFormatError(areas_path, line_no, "non-numeric field") from None
+                raise CSVFormatError(areas_path, line_no, "non-numeric or non-finite field") from None
             ids.append(row[0].strip())
             centroids.append(nums[:2])
             covs.append(nums[2:])
@@ -118,7 +136,7 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
 
     index = {area_id: j for j, area_id in enumerate(ids)}
     samples: list[list[float]] = [[] for _ in ids]
-    with open(samples_path, newline="", encoding="utf-8") as fh:
+    with _open_input(samples_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["area_id", "value"]:
@@ -132,9 +150,9 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
             if area_id not in index:
                 raise CSVFormatError(samples_path, line_no, f"unknown area id {area_id!r}")
             try:
-                samples[index[area_id]].append(float(row[1]))
+                samples[index[area_id]].append(_finite(row[1]))
             except ValueError:
-                raise CSVFormatError(samples_path, line_no, f"not a number: {row[1]!r}") from None
+                raise CSVFormatError(samples_path, line_no, f"not a finite number: {row[1]!r}") from None
     for j, vals in enumerate(samples):
         if not vals:
             raise CSVFormatError(samples_path, 1, f"area {ids[j]!r} has no samples")
@@ -240,7 +258,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -16,13 +16,16 @@ sampling variance. Feeding those into the exact FAB interval keeps
 area-level frequentist coverage regardless of how well the model fits.
 
 Because each area's fit reads only the other areas' data, the J fits do
-not depend on each other: after one lockstep (a, b) search,
-``area_pipeline`` runs the mean-model fits on every CPU of the process's
-affinity mask, in forked workers, and the records keep their bits at any
-CPU count. On a 2-vCPU Intel Xeon with one BLAS thread, over 10
-alternating 20-s runs of ``perfbench/run.py`` per side, a criterion-11
-J = 50 table (``loo_j50``) went from 0.646 to 0.405 reference seconds,
-and the J = 150 CLI run (``loo_j150_cli``, 3 pairs) from 7.55 to 3.87.
+not depend on each other. ``area_pipeline`` deals the areas out over
+every CPU of the process's affinity mask, and each process, the caller or
+a forked worker, takes its own areas from their (a, b) rows, in one
+lockstep search, to their priors; ``loo_conformal_params`` is the same
+path for one area. The records keep their bits at any CPU count. On a
+2-vCPU Intel Xeon with one BLAS thread, over 10 alternating 20-s runs of
+``perfbench/run.py`` per side, forking the mean-model fits took a
+criterion-11 J = 50 table (``loo_j50``) from 0.646 to 0.405 reference
+seconds, and the J = 150 CLI run (``loo_j150_cli``, 3 pairs) from 7.55
+to 3.87.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ class AreaTable:
             raise ValueError("inconsistent area counts across table fields")
         if self.centroids.shape[1] != 2:
             raise ValueError("centroids must be (J, 2)")
+        # A NaN centroid would otherwise reach the weights as a NaN diagonal
+        # and send every area to DTA with a misleading reason.
+        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.centroids))):
+            raise ValueError("covariates and centroids must be finite")
         for y in self.samples:
             if y.ndim != 1 or y.size < 1 or not np.all(np.isfinite(y)):
                 raise ValueError("each area needs a finite, nonempty sample")
@@ -473,28 +480,34 @@ def estimate_ab(s2_list: Sequence[tuple[float, int]]) -> tuple[float, float]:
     return fit
 
 
-def _loo_ab_fits(table: AreaTable) -> dict[int, tuple[float, float] | Exception]:
-    """Every area's leave-one-out (a, b) fit, in one lockstep search.
+def _loo_ab_fits(
+    table: AreaTable, areas: Sequence[int] | None = None
+) -> dict[int, tuple[float, float] | Exception]:
+    """The leave-one-out (a, b) fits of ``areas`` (default: every area with ``n_j >= 2``).
 
-    Keyed by the areas with ``n_j >= 2``. Row r of the search holds the
-    sums of squares of every such area but the r-th, in table order: the
-    problem :func:`estimate_ab` solves for that area, solved in the same
-    arithmetic. An area whose fit fails maps to the error ``estimate_ab``
-    raises for it.
+    Area j's row holds the sums of squares of every other area with
+    ``n >= 2``, in table order: the problem :func:`estimate_ab` solves for
+    it, solved in the same arithmetic. Rows of equal length share one
+    lockstep search; rows do not interact, so a row's fit does not depend
+    on which other areas are passed. An area whose fit fails maps to the
+    error ``estimate_ab`` raises for it.
     """
-    areas = np.flatnonzero(table.n >= 2)
-    m = areas.size
-    if m < 3:
-        return {j: ValueError("need at least two areas with n >= 2") for j in areas.tolist()}
-    others = ~np.eye(m, dtype=bool)
-    s2 = np.broadcast_to(table.s2[areas], (m, m))[others].reshape(m, m - 1)
-    n = np.broadcast_to(table.n[areas], (m, m))[others].reshape(m, m - 1)
-    ok = np.all(np.isfinite(s2) & (s2 >= 0.0), axis=1)
-    fits: dict[int, tuple[float, float] | Exception] = {
-        j: ValueError("sums of squares must be finite and nonnegative") for j in areas[~ok].tolist()
-    }
-    if ok.any():
-        fits.update(zip(areas[ok].tolist(), _fit_ab(s2[ok], n[ok])))
+    informative = np.flatnonzero(table.n >= 2)
+    if areas is None:
+        areas = informative.tolist()
+    fits: dict[int, tuple[float, float] | Exception] = {}
+    searches: dict[int, list[tuple[int, np.ndarray]]] = {}  # by row length
+    for j in areas:
+        rest = informative[informative != j]
+        if rest.size < 2:
+            fits[j] = ValueError("need at least two areas with n >= 2")
+        elif not np.all(np.isfinite(table.s2[rest]) & (table.s2[rest] >= 0.0)):
+            fits[j] = ValueError("sums of squares must be finite and nonnegative")
+        else:
+            searches.setdefault(rest.size, []).append((j, rest))
+    for rows in searches.values():
+        rest = np.array([r for _, r in rows])
+        fits.update(zip([j for j, _ in rows], _fit_ab(table.s2[rest], table.n[rest])))
     return fits
 
 
@@ -821,12 +834,16 @@ def exact_alpha(n: int) -> float:
 def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
     """Estimate area ``j``'s conformal prior from every other area's data.
 
-    A map whose full weights are rejected raises before any fit.
+    This is the pipeline's path for the one area ``j``, so the prior of an
+    area with ``n_j >= 2`` is its pipeline record's, bit for bit. A map
+    whose full weights are rejected raises before any fit; an error of
+    the fit re-raises.
     """
     table.weights  # a rejected map raises here
-    n, s2 = table.n, table.s2
-    a_hat, b_hat = estimate_ab([(s2[i], int(n[i])) for i in range(table.J) if i != j and n[i] >= 2])
-    return _prior_given_ab(table, j, a_hat, b_hat)
+    ((_, prior),) = _priors(table, [j])
+    if isinstance(prior, Exception):
+        raise prior
+    return prior
 
 
 def _prior_given_ab(table: AreaTable, j: int, a_hat: float, b_hat: float) -> AreaConformalParams:
@@ -845,31 +862,42 @@ def _prior_given_ab(table: AreaTable, j: int, a_hat: float, b_hat: float) -> Are
     return conditional_params(j, fit.beta, fit.eta2, fit.rho, fit.theta, table.weights, table.X, sigma2_j)
 
 
-def _priors(
-    table: AreaTable, ab_fits: dict, areas: list[int]
-) -> list[tuple[int, AreaConformalParams | Exception]]:
-    """``(j, prior)`` for each area of ``areas``, or ``(j, error)`` where its fit raised."""
+def _priors(table: AreaTable, areas: list[int]) -> list[tuple[int, AreaConformalParams | Exception]]:
+    """``(j, prior)`` for each area of ``areas``, or ``(j, error)`` where its fit raised.
+
+    The areas' (a, b) rows run in one lockstep search, then each area's
+    prior is fitted from its row. An error the search itself raises is
+    every area's result.
+    """
+    try:
+        ab_fits = _loo_ab_fits(table, areas)
+    except Exception as exc:
+        return [(j, exc) for j in areas]
     out: list[tuple[int, AreaConformalParams | Exception]] = []
     for j in areas:
-        try:
-            out.append((j, _prior_given_ab(table, j, *ab_fits[j])))
-        except Exception as exc:
-            out.append((j, exc))
+        prior = ab_fits[j]
+        if not isinstance(prior, Exception):
+            try:
+                prior = _prior_given_ab(table, j, *prior)
+            except Exception as exc:
+                prior = exc
+        out.append((j, prior))
     return out
 
 
-def _send_priors(conn, table: AreaTable, ab_fits: dict, areas: list[int]) -> None:
+def _send_priors(conn, table: AreaTable, areas: list[int]) -> None:
     """A forked worker's share. Ctrl-C is left to the caller, which stops its workers."""
     import signal
     import traceback
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    priors = _priors(table, ab_fits, areas)
-    for _, result in priors:
-        if isinstance(result, Exception):
-            # A traceback does not pickle; the worker's frames travel as a note.
-            frames = "".join(traceback.format_exception(type(result), result, result.__traceback__))
-            result.__notes__ = [*getattr(result, "__notes__", ()), f"In a worker process:\n{frames}"]
+    priors = _priors(table, areas)
+    # One error may be several areas' result; it gets one note.
+    errors = {id(result): result for _, result in priors if isinstance(result, Exception)}
+    for result in errors.values():
+        # A traceback does not pickle; the worker's frames travel as a note.
+        frames = "".join(traceback.format_exception(type(result), result, result.__traceback__))
+        result.__notes__ = [*getattr(result, "__notes__", ()), f"In a worker process:\n{frames}"]
     conn.send(priors)
     conn.close()
 
@@ -889,33 +917,33 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shared_priors(table: AreaTable, ab_fits: dict) -> dict[int, AreaConformalParams | Exception]:
-    """The priors of the areas in ``ab_fits``, fitted on every CPU the process may use.
+def _shared_priors(table: AreaTable) -> dict[int, AreaConformalParams | Exception]:
+    """The priors of the areas with ``n_j >= 2``, fitted on every CPU the process may use.
 
     The fits do not depend on each other, so with k = min(CPUs, areas)
     the areas are dealt out in k interleaved shares: the caller fits one,
-    and k - 1 forked children fit the others and send their results back
-    over a pipe. Each fit runs the same arithmetic in whichever process,
-    so the results do not depend on k. An error a fit raises comes back
-    as the area's result. Every child is joined before this returns or
-    raises. With k = 1 no process is started.
+    and k - 1 forked children fit the others, (a, b) rows included, and
+    send their results back over a pipe. Each fit runs the same
+    arithmetic in whichever process, so the results do not depend on k.
+    An error a fit raises comes back as the area's result. Every child is
+    joined before this returns or raises. With k = 1 no process is started.
     """
-    areas = list(ab_fits)
+    areas = np.flatnonzero(table.n >= 2).tolist()
     k = max(1, min(_cpus(), len(areas)))
     children = []
     try:
         if k > 1:
             import multiprocessing
 
-            table.ybar  # computed once, before the fork, for every share
+            table.ybar, table.s2  # computed once, before the fork, for every share
             fork = multiprocessing.get_context("fork")
             for share in range(1, k):
                 recv, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=_send_priors, args=(send, table, ab_fits, areas[share::k]))
+                child = fork.Process(target=_send_priors, args=(send, table, areas[share::k]))
                 child.start()
                 send.close()
                 children.append((child, recv))
-        priors = dict(_priors(table, ab_fits, areas[::k]))
+        priors = dict(_priors(table, areas[::k]))
         for child, recv in children:
             try:
                 priors.update(recv.recv())
@@ -953,11 +981,10 @@ def area_pipeline(
 
     Every argument is checked, and a bad one raises ``ValueError``, before
     any fit. A map whose full weights are rejected is not fitted at all;
-    otherwise the leave-one-out (a, b) problems of all areas are solved in
-    one lockstep search, bit-equal to one ``estimate_ab`` call per area,
-    and the rest of each area's fit runs on one of the CPUs the process
-    may use (see :func:`_shared_priors`); the records do not depend on
-    how many. Areas whose hyperparameter fit fails get a DTA interval
+    otherwise each area's whole fit, from its leave-one-out (a, b) row
+    (bit-equal to one ``estimate_ab`` call) to its prior, runs on one of
+    the CPUs the process may use (see :func:`_shared_priors`); the records
+    do not depend on how many. Areas whose hyperparameter fit fails get a DTA interval
     flagged as a fallback, so every returned record keeps the conformal
     coverage guarantee.
     """
@@ -975,9 +1002,7 @@ def area_pipeline(
         except ValueError as exc:
             priors = {j: exc for j in range(table.J)}
         else:
-            ab_fits = _loo_ab_fits(table)
-            priors = {j: fit for j, fit in ab_fits.items() if isinstance(fit, Exception)}
-            priors.update(_shared_priors(table, {j: fit for j, fit in ab_fits.items() if j not in priors}))
+            priors = _shared_priors(table)
 
     out: list[AreaPrediction] = []
     for j, (area, y) in enumerate(zip(table.ids, table.samples)):

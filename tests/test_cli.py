@@ -88,6 +88,16 @@ class TestPredict:
         assert code == 2
         assert ":3:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, capsys, value):
+        f = tmp_path / "s.csv"
+        f.write_text(f"value\n1.0\n{value}\n2.0\n")
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--tau2", "1", "--alpha", "0.25",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}:3: not a finite number: '{value}'\n"
+
     def test_missing_prior_flags_for_fab(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0, 2.0])
@@ -204,6 +214,27 @@ class TestSmallArea:
         assert code == 2
         assert "ghost" in err
 
+    @pytest.mark.parametrize("which, line, field, value", [
+        ("areas", 3, 1, "nan"),  # a centroid
+        ("areas", 5, 3, "inf"),  # a covariate
+        ("samples", 4, 1, "nan"),
+    ])
+    def test_non_finite_field_reports_line(self, dataset, tmp_path, capsys, which, line, field, value):
+        """A NaN centroid used to send every area to DTA and exit 0."""
+        paths = dict(zip(("areas", "samples"), dataset))
+        rows = Path(paths[which]).read_text().splitlines()
+        cells = rows[line - 1].split(",")
+        cells[field] = value
+        rows[line - 1] = ",".join(cells)
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        paths[which] = str(bad)
+        code, out, err = run_cli(
+            capsys, "small-area", "--areas", paths["areas"], "--samples", paths["samples"],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
+
     def test_standardize_flag_changes_loaded_covariates(self, dataset):
         from fabcp.cli import load_area_table
 
@@ -280,6 +311,25 @@ class TestSimulateCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("mean_lower,mean_upper")
+
+
+@pytest.mark.parametrize("flag", ["--input", "--areas", "--samples", "--config"])
+def test_unreadable_path_is_one_error_line(tmp_path, capsys, flag):
+    values = tmp_path / "s.csv"
+    write_values(values, [1.0, 2.0])
+    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
+    assert code == 0
+    missing = str(tmp_path / "missing.csv")
+    argv = {
+        "--input": ["predict", "--input", missing, "--tau2", "1", "--alpha", "0.25"],
+        "--areas": ["small-area", "--areas", missing, "--samples", str(tmp_path / "d_samples.csv")],
+        "--samples": ["small-area", "--areas", str(tmp_path / "d_areas.csv"), "--samples", missing],
+        "--config": ["simulate", "--experiment", "coverage", "--config", missing,
+                     "--output", str(tmp_path / "x.csv")],
+    }[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
 
 
 def test_import_does_not_load_scipy_optimize():

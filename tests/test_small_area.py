@@ -622,6 +622,34 @@ class TestAreaPipeline:
             level = 1.0 - alpha_j
             assert hit.mean() >= level - 3.0 * math.sqrt(level * alpha_j / reps)
 
+    @pytest.mark.parametrize("field, value", [
+        ("X", math.nan), ("X", math.inf), ("centroids", math.nan), ("centroids", -math.inf),
+    ])
+    def test_table_rejects_non_finite_covariates_and_centroids(self, field, value):
+        """A NaN centroid would otherwise send every area to DTA as "W must have a zero diagonal"."""
+        table, _ = self._table()
+        fields = {"ids": table.ids, "samples": table.samples, "X": table.X.copy(),
+                  "centroids": table.centroids.copy()}
+        fields[field][3, 1] = value
+        with pytest.raises(ValueError, match="covariates and centroids must be finite"):
+            AreaTable(**fields)
+
+    def test_one_path_from_table_to_prior(self):
+        """``loo_conformal_params`` is the pipeline's prior, and estimate_ab's for n_j = 1 areas."""
+        table = _singles_table()
+        records = {r.area_id: r for r in area_pipeline(table, "exact", ("fab",))}
+        assert not any(r.fallback for r in records.values())
+        for j, area in enumerate(table.ids):
+            params = loo_conformal_params(table, j)
+            if table.n[j] >= 2:
+                want = records[area].mu_j, records[area].tau2_j
+            else:
+                assert area not in records
+                s2, n = _loo_problem(table, j)
+                prior = small_area._prior_given_ab(table, j, *estimate_ab(list(zip(s2, n))))
+                want = prior.mu_j, prior.tau2_j
+            assert (params.mu_j.hex(), params.tau2_j.hex()) == (want[0].hex(), want[1].hex()), area
+
     def test_needs_three_areas(self):
         rng = np.random.default_rng(83)
         table, _ = generate_table(J=2, n_range=(3, 5), beta=[0.0, 0.0],
@@ -762,13 +790,15 @@ class TestSharedAreas:
     @pytest.mark.parametrize("make_table", [
         pytest.param(lambda: _criterion_11_table(50, 3), id="criterion11-seed3"),
         pytest.param(_singles_rank_deficient_table, id="singles-rank-deficient"),
+        # Two (a, b) rows stall, in whichever process holds them.
+        pytest.param(lambda: _seed902_table([1.0, 0.5]), id="seed902-beta0.5"),
     ])
-    def test_records_do_not_depend_on_cpu_count(self, pin_cpus, monkeypatch, make_table):
+    def test_records_do_not_depend_on_cpu_count(self, pin_cpus, monkeypatch, caplog, make_table):
         table = make_table()
-        fitted = sorted(j for j, fit in small_area._loo_ab_fits(table).items()
-                        if not isinstance(fit, Exception))
+        dealt = np.flatnonzero(table.n >= 2).tolist()
+        fitted = {j for j, fit in small_area._loo_ab_fits(table).items() if not isinstance(fit, Exception)}
         prior_given_ab = small_area._prior_given_ab
-        runs = {}
+        runs, logs = {}, {}
         for cpus in (1, 3):
             pin_cpus(cpus)
             in_caller = []
@@ -778,10 +808,15 @@ class TestSharedAreas:
                 return prior_given_ab(table, j, *ab)
 
             monkeypatch.setattr(small_area, "_prior_given_ab", counted)
-            runs[cpus] = _pipeline_bits(table)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fabcp.small_area"):
+                runs[cpus] = _pipeline_bits(table)
+            logs[cpus] = [m.getMessage() for m in caplog.records]
             assert multiprocessing.active_children() == []
-            assert in_caller == fitted[::cpus]
+            # The caller's share is every k-th area with n_j >= 2, whatever its (a, b) outcome.
+            assert in_caller == [j for j in dealt[::cpus] if j in fitted]
         assert runs[3] == runs[1]
+        assert logs[3] == logs[1]
 
     @pytest.mark.parametrize("area", [0, 1], ids=["caller-share", "worker-share"])
     def test_error_in_one_area_reraises_in_caller(self, pin_cpus, monkeypatch, area):
@@ -800,6 +835,27 @@ class TestSharedAreas:
         assert multiprocessing.active_children() == []
         # A worker's frames come back as a note on the error.
         assert ", in broken\n" in "".join(traceback.format_exception(excinfo.value))
+
+    @_needs_fork
+    def test_search_error_in_a_worker_is_each_of_its_areas_result(self, pin_cpus, monkeypatch, caplog):
+        """An (a, b) search that raises in a worker comes back as its areas' errors, not a dead worker."""
+        table, _ = TestAreaPipeline._table(seed=80, J=12)
+        pin_cpus(2)
+        caller, loo_ab_fits = os.getpid(), small_area._loo_ab_fits
+
+        def broken(table, areas=None):
+            if os.getpid() != caller:
+                raise EstimationError("injected into a worker's search")
+            return loo_ab_fits(table, areas)
+
+        monkeypatch.setattr(small_area, "_loo_ab_fits", broken)
+        with caplog.at_level(logging.WARNING, logger="fabcp.small_area"):
+            records = area_pipeline(table, "exact", ("fab",))
+        assert multiprocessing.active_children() == []
+        assert [r.fallback for r in records] == [j % 2 == 1 for j in range(table.J)]
+        assert [m.getMessage() for m in caplog.records] == [
+            f"area {area}: falling back to DTA (injected into a worker's search)" for area in table.ids[1::2]
+        ]
 
     @_needs_fork
     def test_worker_that_dies_is_reported(self, pin_cpus, monkeypatch):
