@@ -1,9 +1,10 @@
 """Command line interface: prediction, small-area runs, sweeps, data generation.
 
-Exit codes: 0 success, 1 invalid flags (an input path that cannot be read
-counts as one), 2 malformed input data, such as a non-numeric or
-non-finite field (reported with a line number), 3 rank-deficient
-covariate matrix. Every error is one ``error:`` line on stderr.
+Exit codes: 0 success, 1 invalid flags (an input path that cannot be read,
+or an output path that cannot be written, counts as one), 2 malformed
+input data, such as a non-numeric or non-finite field (reported with a
+line number), 3 rank-deficient covariate matrix. Every error is one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def _open_input(path: str):
         return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _open_output(path: str):
+    """``path`` opened for writing; a path that cannot be written is a bad flag (exit 1)."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _finite(text: str) -> float:
@@ -231,10 +240,9 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
         return EXIT_RANK_DEFICIENT
     alpha_mode: float | str = "exact" if args.alpha_mode == "exact" else args.alpha
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
-    records = area_pipeline(table, alpha_mode, methods)
-
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    out = sys.stdout if args.output == "-" else _open_output(args.output)
     try:
+        records = area_pipeline(table, alpha_mode, methods)
         out.write("area_id,n,alpha_j,method,lower,upper,mu_j,tau2_j,fallback_flag\n")
         for r in records:
             out.write(
@@ -307,6 +315,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         population=values["population"],
     )
     experiment = str(args.experiment)
+    _open_output(args.output).close()  # an unwritable report path fails before the run
     if experiment == "expected-width":
         report = simulate.expected_width(config)
     elif experiment == "coverage":
@@ -341,20 +350,20 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         rng=rng,
     )
     prefix = args.out_prefix
-    with open(f"{prefix}_areas.csv", "w", encoding="utf-8") as fh:
+    with _open_output(f"{prefix}_areas.csv") as fh:
         fh.write("area_id,cx,cy,cov1\n")
         for j, area_id in enumerate(table.ids):
             fh.write(
                 f"{area_id},{_fmt(table.centroids[j, 0])},{_fmt(table.centroids[j, 1])},"
                 f"{_fmt(table.X[j, 1])}\n"
             )
-    with open(f"{prefix}_samples.csv", "w", encoding="utf-8") as fh:
+    with _open_output(f"{prefix}_samples.csv") as fh:
         fh.write("area_id,value\n")
         for j, area_id in enumerate(table.ids):
             for v in table.samples[j]:
                 fh.write(f"{area_id},{_fmt(float(v))}\n")
     truth["seed"] = args.seed
-    with open(f"{prefix}_truth.json", "w", encoding="utf-8") as fh:
+    with _open_output(f"{prefix}_truth.json") as fh:
         json.dump(truth, fh, indent=2)
         fh.write("\n")
     return 0

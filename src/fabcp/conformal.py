@@ -15,13 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .working_model import (
-    WorkingModelParams,
-    _log_t_density,
-    _predictive_blocks,
-    log_predictive_density,
-    posterior_params,
-)
+from .working_model import WorkingModelParams, _log_t_density, _posterior_rows
 
 __all__ = [
     "ConformityMeasure",
@@ -41,27 +35,27 @@ class ConformityMeasure(ABC):
 
     Implementations must be deterministic and permutation-invariant in the
     conditioning multiset. ``augmented`` selects which conditioning set
-    the conformal algorithm hands to :meth:`score` for observation ``i``
-    of the augmented sample: the full augmented bag when True, or the bag
-    with that observation removed when False. Only score *orderings*
-    matter, so a measure may return any strictly increasing transform of
-    its defining score (e.g. a log density).
+    the conformal algorithm uses for observation ``i`` of the augmented
+    sample: the full augmented bag when True, or the bag with that
+    observation removed when False. Only score *orderings* matter, so a
+    measure may return any strictly increasing transform of its defining
+    score (e.g. a log density).
     """
 
     augmented: bool = False
 
     @abstractmethod
-    def score(self, conditioning: np.ndarray, point: float) -> float:
-        """Conformity score of ``point`` against ``conditioning``."""
+    def scores(self, bags: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Scores of ``points`` (R, q) against ``bags`` (R, m), row by row.
 
-    def grid_score_matrix(self, sample: np.ndarray, xs: np.ndarray) -> np.ndarray | None:
-        """Optional vectorized scorer for the grid oracle.
-
-        Returns an array of shape ``(len(xs), n+1)`` whose row for
-        candidate ``x`` holds the scores ``c_1(x), ..., c_n(x), c_{n+1}(x)``,
-        or ``None`` to fall back to per-point :meth:`score` calls.
+        Row r of the (R, q) result scores each of ``points[r]`` against the
+        conditioning multiset ``bags[r]``.
         """
-        return None
+
+    def score(self, conditioning: np.ndarray, point: float) -> float:
+        """Conformity score of ``point`` against ``conditioning``: a one-row :meth:`scores`."""
+        bag = np.asarray(conditioning, dtype=float).reshape(1, -1)
+        return float(self.scores(bag, np.full((1, 1), float(point)))[0, 0])
 
 
 class FABMeasure(ConformityMeasure):
@@ -71,29 +65,9 @@ class FABMeasure(ConformityMeasure):
         self.params = params
         self.augmented = augmented
 
-    def score(self, conditioning: np.ndarray, point: float) -> float:
-        return log_predictive_density(point, posterior_params(conditioning, self.params))
-
-    def grid_score_matrix(self, sample: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        n = sample.size
-        s = float(np.sum(sample))
-        ssq = float(np.sum(sample**2))
-        out = np.empty((xs.size, n + 1))
-        if self.augmented:
-            # One parameter block per candidate; all n+1 scores share it.
-            loc, nu, _, scale = _predictive_blocks(s + xs, ssq + xs**2, n + 1, self.params)
-            for i in range(n):
-                out[:, i] = _log_t_density(sample[i], loc, nu, scale)
-            out[:, n] = _log_t_density(xs, loc, nu, scale)
-        else:
-            for i in range(n):
-                loc, nu, _, scale = _predictive_blocks(
-                    s - sample[i] + xs, ssq - sample[i] ** 2 + xs**2, n, self.params
-                )
-                out[:, i] = _log_t_density(sample[i], loc, nu, scale)
-            loc, nu, _, scale = _predictive_blocks(s, ssq, n, self.params)
-            out[:, n] = _log_t_density(xs, loc, nu, scale)
-        return out
+    def scores(self, bags: np.ndarray, points: np.ndarray) -> np.ndarray:
+        a_sigma, mu_theta, _, _, scale = _posterior_rows(bags, self.params)
+        return _log_t_density(points, mu_theta[:, None], a_sigma, scale[:, None])
 
 
 class DTAMeasure(ConformityMeasure):
@@ -102,68 +76,60 @@ class DTAMeasure(ConformityMeasure):
     def __init__(self, augmented: bool = True):
         self.augmented = augmented
 
-    def score(self, conditioning: np.ndarray, point: float) -> float:
-        m = math.fsum(np.asarray(conditioning, dtype=float)) / len(conditioning)
-        return -abs(point - m)
-
-    def grid_score_matrix(self, sample: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        n = sample.size
-        s = float(np.sum(sample))
-        out = np.empty((xs.size, n + 1))
-        if self.augmented:
-            m = (s + xs) / (n + 1)
-            for i in range(n):
-                out[:, i] = -np.abs(sample[i] - m)
-            out[:, n] = -np.abs(xs - m)
-        else:
-            for i in range(n):
-                out[:, i] = -np.abs(sample[i] - (s - sample[i] + xs) / n)
-            out[:, n] = -np.abs(xs - s / n)
-        return out
+    def scores(self, bags: np.ndarray, points: np.ndarray) -> np.ndarray:
+        return -np.abs(points - bags.mean(axis=1)[:, None])
 
 
-# -- p-value ------------------------------------------------------------------
+# -- rank counts --------------------------------------------------------------
 
 
-def _scores_at(sample: np.ndarray, x: float, measure: ConformityMeasure) -> np.ndarray:
-    """Scores ``c_1(x), ..., c_{n+1}(x)`` per the measure's conditioning form."""
-    bag = np.append(sample, x)
-    n = sample.size
+def _as_sample(sample: Sequence[float] | np.ndarray) -> np.ndarray:
+    y = np.asarray(sample, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("sample must be a nonempty one-dimensional vector")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("sample contains non-finite values")
+    return y
+
+
+def _score_matrix(sample: np.ndarray, xs: np.ndarray, measure: ConformityMeasure) -> np.ndarray:
+    """Scores ``c_1(x), ..., c_{n+1}(x)`` in row j for candidate ``x = xs[j]``.
+
+    Observation i of the augmented bag ``(sample, x)`` is scored against
+    that whole bag when the measure is augmented, or else against the bag
+    minus observation i.
+    """
+    bags = np.empty((xs.size, sample.size + 1))
+    bags[:, :-1] = sample
+    bags[:, -1] = xs
     if measure.augmented:
-        return np.array([measure.score(bag, float(bag[i])) for i in range(n + 1)])
-    scores = np.empty(n + 1)
-    for i in range(n + 1):
-        scores[i] = measure.score(np.delete(bag, i), float(bag[i]))
-    return scores
+        return measure.scores(bags, bags)
+    matrix = np.empty_like(bags)
+    for i in range(sample.size + 1):
+        matrix[:, i] = measure.scores(np.delete(bags, i, axis=1), bags[:, i:i + 1])[:, 0]
+    return matrix
 
 
-def _count_leq(scores: np.ndarray, c_last: float, tie_rtol: float) -> int:
-    if tie_rtol == 0.0:
-        return int(np.count_nonzero(scores <= c_last))
-    tol = tie_rtol * max(1.0, abs(c_last))
-    return int(np.count_nonzero(scores <= c_last + tol))
+def _counts(sample: np.ndarray, xs: np.ndarray, measure: ConformityMeasure) -> np.ndarray:
+    """Rank count ``#{i : c_i(x) <= c_{n+1}(x)}`` for each candidate ``x`` of ``xs``."""
+    matrix = _score_matrix(sample, xs, measure)
+    return np.count_nonzero(matrix <= matrix[:, -1:], axis=1)
 
 
 def conformal_pvalue(
     sample: Sequence[float] | np.ndarray,
     y_cand: float,
     measure: ConformityMeasure,
-    tie_rtol: float = 0.0,
 ) -> float:
     """Conformal p-value ``#{i : c_i <= c_{n+1}} / (n+1)``.
 
     Always at least ``1/(n+1)``: the candidate's own score satisfies
-    ``<=`` against itself. Score ties use exact ``<=`` by default;
-    ``tie_rtol`` widens the comparison to
-    ``c_i <= c_{n+1} + tie_rtol * max(1, |c_{n+1}|)`` for robustness
-    studies.
+    ``<=`` against itself. Score ties count as ``<=``.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional vector")
-    scores = _scores_at(y, float(y_cand), measure)
-    count = _count_leq(scores, float(scores[-1]), tie_rtol)
-    return count / (y.size + 1)
+    y = _as_sample(sample)
+    if not math.isfinite(y_cand):
+        raise ValueError(f"candidate must be finite, got {y_cand}")
+    return int(_counts(y, np.array([float(y_cand)]), measure)[0]) / (y.size + 1)
 
 
 # -- grid oracle --------------------------------------------------------------
@@ -228,42 +194,17 @@ class GridRegion:
         return self.grid_lo + self.resolution * np.arange(self.accepted.size)
 
 
-def _counts_on_grid(
-    sample: np.ndarray,
-    measure: ConformityMeasure,
-    xs: np.ndarray,
-    tie_rtol: float,
-) -> np.ndarray:
-    matrix = measure.grid_score_matrix(sample, xs)
-    if matrix is None:
-        counts = np.empty(xs.size, dtype=np.int64)
-        for j, x in enumerate(xs):
-            scores = _scores_at(sample, float(x), measure)
-            counts[j] = _count_leq(scores, float(scores[-1]), tie_rtol)
-        return counts
-    c_last = matrix[:, -1]
-    if tie_rtol == 0.0:
-        thresh = c_last
-    else:
-        thresh = c_last + tie_rtol * np.maximum(1.0, np.abs(c_last))
-    return np.count_nonzero(matrix <= thresh[:, None], axis=1).astype(np.int64)
-
-
 def step_profile(
     sample: Sequence[float] | np.ndarray,
     measure: ConformityMeasure,
     grid: GridSpec,
-    tie_rtol: float = 0.0,
 ) -> np.ndarray:
     """Rank count ``#{i : c_i(x) <= c_{n+1}(x)}`` at each grid point.
 
     Under a reflection-map measure this is a unimodal staircase rising
     1, 2, ..., n+1 and falling back to 1.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional vector")
-    return _counts_on_grid(y, measure, grid.points(), tie_rtol)
+    return _counts(_as_sample(sample), grid.points(), measure)
 
 
 def grid_region(
@@ -271,20 +212,17 @@ def grid_region(
     measure: ConformityMeasure,
     alpha: float,
     grid: GridSpec,
-    tie_rtol: float = 0.0,
 ) -> GridRegion:
     """Conformal region on a grid: points where the rank count exceeds ``k``.
 
     ``k = floor(alpha*(n+1))``. Contiguous accepted runs are reported as
     closed intervals between their first and last grid points.
     """
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional vector")
+    y = _as_sample(sample)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     xs = grid.points()
-    counts = _counts_on_grid(y, measure, xs, tie_rtol)
+    counts = _counts(y, xs, measure)
     k = int(math.floor(alpha * (y.size + 1)))
     accepted = counts > k
 

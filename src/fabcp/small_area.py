@@ -20,12 +20,7 @@ not depend on each other. ``area_pipeline`` deals the areas out over
 every CPU of the process's affinity mask, and each process, the caller or
 a forked worker, takes its own areas from their (a, b) rows, in one
 lockstep search, to their priors; ``loo_conformal_params`` is the same
-path for one area. The records keep their bits at any CPU count. On a
-2-vCPU Intel Xeon with one BLAS thread, over 10 alternating 20-s runs of
-``perfbench/run.py`` per side, forking the mean-model fits took a
-criterion-11 J = 50 table (``loo_j50``) from 0.646 to 0.405 reference
-seconds, and the J = 150 CLI run (``loo_j150_cli``, 3 pairs) from 7.55
-to 3.87.
+path for one area. The records keep their bits at any CPU count.
 """
 
 from __future__ import annotations
@@ -105,10 +100,12 @@ class AreaTable:
         J = len(self.ids)
         if J < 2:
             raise ValueError("need at least two areas")
+        if self.X.ndim != 2:
+            raise ValueError("X must be a (J, p) matrix")
+        if self.centroids.ndim != 2 or self.centroids.shape[1] != 2:
+            raise ValueError("centroids must be (J, 2)")
         if len(self.samples) != J or self.X.shape[0] != J or self.centroids.shape[0] != J:
             raise ValueError("inconsistent area counts across table fields")
-        if self.centroids.shape[1] != 2:
-            raise ValueError("centroids must be (J, 2)")
         # A NaN centroid would otherwise reach the weights as a NaN diagonal
         # and send every area to DTA with a misleading reason.
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.centroids))):
@@ -837,8 +834,10 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
     This is the pipeline's path for the one area ``j``, so the prior of an
     area with ``n_j >= 2`` is its pipeline record's, bit for bit. A map
     whose full weights are rejected raises before any fit; an error of
-    the fit re-raises.
+    the fit re-raises, and an index outside ``[0, J)`` raises before both.
     """
+    if not 0 <= j < table.J:
+        raise ValueError(f"area index {j} out of range for J={table.J}")
     table.weights  # a rejected map raises here
     ((_, prior),) = _priors(table, [j])
     if isinstance(prior, Exception):

@@ -124,38 +124,23 @@ def posterior_params(sample: Sequence[float] | np.ndarray, params: WorkingModelP
 
     Notes
     -----
-    The residual sum of squares entering ``b_sigma`` is computed in the
-    centered form ``sum((y_i - mu_theta)**2) + (mu - mu_theta)**2 / tau2``,
-    which is nonnegative term by term, with compensated summation.
+    A one-row call of :func:`_posterior_rows`, the update the conformal
+    grid oracle runs on whole arrays of samples.
     """
     y = _as_sample(sample)
-    n = y.size
-    tau2_theta = 1.0 / (1.0 / params.tau2 + n)
-    mu_theta = (params.mu / params.tau2 + fsum(y)) * tau2_theta
-    a_sigma = params.a + n
-    resid = math.fsum((v - mu_theta) ** 2 for v in y)
-    resid += (params.mu - mu_theta) ** 2 / params.tau2
-    b_sigma = params.b + resid
-    scale = (b_sigma / a_sigma) * (1.0 + tau2_theta)
+    a_sigma, mu_theta, tau2_theta, b_sigma, scale = _posterior_rows(y[None, :], params)
     return PosteriorPredictive(
-        a_sigma=a_sigma, mu_theta=mu_theta, tau2_theta=tau2_theta, b_sigma=b_sigma, scale=scale
+        a_sigma=a_sigma,
+        mu_theta=float(mu_theta[0]),
+        tau2_theta=tau2_theta,
+        b_sigma=float(b_sigma[0]),
+        scale=float(scale[0]),
     )
 
 
 def log_predictive_density(y_cand: float, pp: PosteriorPredictive) -> float:
-    """Log of the predictive t density at ``y_cand``.
-
-    Evaluated in log space so that large degrees of freedom cannot
-    overflow the gamma-function prefactor.
-    """
-    nu = pp.a_sigma
-    z2 = (y_cand - pp.mu_theta) ** 2 / pp.scale
-    return (
-        gammaln((nu + 1.0) / 2.0)
-        - gammaln(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi * pp.scale)
-        - ((nu + 1.0) / 2.0) * math.log1p(z2 / nu)
-    )
+    """Log of the predictive t density at ``y_cand``."""
+    return float(_log_t_density(y_cand, pp.mu_theta, pp.a_sigma, pp.scale))
 
 
 def predictive_density(y_cand: float, pp: PosteriorPredictive) -> float:
@@ -173,31 +158,27 @@ def posterior_mean_theta(sample: Sequence[float] | np.ndarray, params: WorkingMo
     return (params.mu / params.tau2 + fsum(y)) / (1.0 / params.tau2 + y.size)
 
 
-# -- array kernels -----------------------------------------------------------
-#
-# Vectorized versions of the update and density, used by the grid-based
-# region oracle where the conditioning set varies along a candidate grid.
+def _posterior_rows(
+    samples: np.ndarray, params: WorkingModelParams
+) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray]:
+    """Update the working model on each row of an (R, m) array of samples.
 
-
-def _predictive_blocks(
-    sum_y: np.ndarray | float,
-    sum_sq: np.ndarray | float,
-    n: int,
-    params: WorkingModelParams,
-) -> tuple[np.ndarray | float, float, np.ndarray | float, np.ndarray | float]:
-    """Posterior predictive parameters from sufficient statistics.
-
-    Accepts scalar or array ``sum_y``/``sum_sq`` (broadcast together) and
-    returns ``(mu_theta, a_sigma, b_sigma, scale)``.
+    Returns ``(a_sigma, mu_theta, tau2_theta, b_sigma, scale)`` as in
+    :class:`PosteriorPredictive`; ``a_sigma`` and ``tau2_theta`` depend on
+    m only, and the other three have shape (R,). The residual sum of
+    squares entering ``b_sigma`` is the centered form
+    ``sum((y_i - mu_theta)**2) + (mu - mu_theta)**2 / tau2``, nonnegative
+    term by term, so no cancellation grows with the offset of the data.
     """
-    tau2_theta = 1.0 / (1.0 / params.tau2 + n)
-    mu_theta = (params.mu / params.tau2 + sum_y) * tau2_theta
-    a_sigma = params.a + n
-    b_sigma = params.b + sum_sq + params.mu**2 / params.tau2 - mu_theta**2 / tau2_theta
-    # The residual is nonnegative in exact arithmetic; guard the cancellation.
-    b_sigma = np.maximum(b_sigma, 1e-300)
+    m = samples.shape[1]
+    tau2_theta = 1.0 / (1.0 / params.tau2 + m)
+    mu_theta = (params.mu / params.tau2 + samples.sum(axis=1)) * tau2_theta
+    resid = ((samples - mu_theta[:, None]) ** 2).sum(axis=1)
+    resid += (params.mu - mu_theta) ** 2 / params.tau2
+    a_sigma = params.a + m
+    b_sigma = params.b + resid
     scale = (b_sigma / a_sigma) * (1.0 + tau2_theta)
-    return mu_theta, a_sigma, b_sigma, scale
+    return a_sigma, mu_theta, tau2_theta, b_sigma, scale
 
 
 def _log_t_density(
@@ -206,7 +187,11 @@ def _log_t_density(
     nu: float,
     scale: np.ndarray | float,
 ) -> np.ndarray | float:
-    """Log density of a scaled t with ``nu`` df and squared scale ``scale``."""
+    """Log density of a scaled t with ``nu`` df and squared scale ``scale``.
+
+    Evaluated in log space so that large degrees of freedom cannot
+    overflow the gamma-function prefactor.
+    """
     z2 = (x - loc) ** 2 / scale
     return (
         gammaln((nu + 1.0) / 2.0)

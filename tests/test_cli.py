@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fabcp
+from fabcp import cli
 from fabcp.cli import main
 
 
@@ -313,23 +314,40 @@ class TestSimulateCommand:
         assert header.endswith("mean_lower,mean_upper")
 
 
-@pytest.mark.parametrize("flag", ["--input", "--areas", "--samples", "--config"])
-def test_unreadable_path_is_one_error_line(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag", [
+    "--input", "--areas", "--samples", "--config",
+    "small-area --output", "--out-prefix", "simulate --output",
+])
+def test_unreadable_path_is_one_error_line(tmp_path, capsys, monkeypatch, flag):
     values = tmp_path / "s.csv"
     write_values(values, [1.0, 2.0])
     code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
     assert code == 0
+    areas, samples = str(tmp_path / "d_areas.csv"), str(tmp_path / "d_samples.csv")
     missing = str(tmp_path / "missing.csv")
-    argv = {
-        "--input": ["predict", "--input", missing, "--tau2", "1", "--alpha", "0.25"],
-        "--areas": ["small-area", "--areas", missing, "--samples", str(tmp_path / "d_samples.csv")],
-        "--samples": ["small-area", "--areas", str(tmp_path / "d_areas.csv"), "--samples", missing],
-        "--config": ["simulate", "--experiment", "coverage", "--config", missing,
-                     "--output", str(tmp_path / "x.csv")],
+    nodir = str(tmp_path / "nodir" / "o")
+    argv, path, verb = {
+        "--input": (["predict", "--input", missing, "--tau2", "1", "--alpha", "0.25"], missing, "read"),
+        "--areas": (["small-area", "--areas", missing, "--samples", samples], missing, "read"),
+        "--samples": (["small-area", "--areas", areas, "--samples", missing], missing, "read"),
+        "--config": (["simulate", "--experiment", "coverage", "--config", missing,
+                      "--output", str(tmp_path / "x.csv")], missing, "read"),
+        "small-area --output": (["small-area", "--areas", areas, "--samples", samples,
+                                 "--output", nodir], nodir, "write"),
+        "--out-prefix": (["gen-data", "--J", "6", "--out-prefix", nodir], nodir + "_areas.csv", "write"),
+        "simulate --output": (["simulate", "--experiment", "coverage", "--output", nodir],
+                              nodir, "write"),
     }[flag]
+    # an unwritable output fails before any work: no area is fitted, no cell simulated
+    monkeypatch.setattr(cli, "area_pipeline", _no_work)
+    monkeypatch.setattr(cli.simulate, "coverage_experiment", _no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot {verb} {path}: ") and err.count("\n") == 1
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before the output path was checked")
 
 
 def test_import_does_not_load_scipy_optimize():

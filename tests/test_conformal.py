@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fabcp.conformal import (
+    ConformityMeasure,
     DTAMeasure,
     FABMeasure,
     GridSpec,
@@ -13,7 +14,9 @@ from fabcp.conformal import (
     default_grid,
     grid_region,
     step_profile,
+    _score_matrix,
 )
+from fabcp.fab import fab_interval
 from fabcp.working_model import WorkingModelParams
 
 
@@ -88,23 +91,18 @@ class TestConformalPvalue:
                     perm = rng.permutation(sample)
                     assert conformal_pvalue(perm, x, measure) == base
 
-    def test_tie_tolerance_variant(self):
-        class Jittered(DTAMeasure):
-            def score(self, conditioning, point):
-                s = super().score(conditioning, point)
-                return s + (4e-14 if point == 2.0 else 0.0)
-
-            def grid_score_matrix(self, sample, xs):
-                return None
-
-        sample = [0.0, 1.0, 2.0]
-        exact = conformal_pvalue(sample, 2.0, Jittered(augmented=True))
-        loose = conformal_pvalue(sample, 2.0, Jittered(augmented=True), tie_rtol=1e-12)
-        assert loose >= exact
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             conformal_pvalue([], 0.0, DTAMeasure())
+
+    @pytest.mark.parametrize("measure", [DTAMeasure(), FABMeasure(WorkingModelParams(0.0, 1.0, 1.0, 1.0))])
+    def test_non_finite_input_rejected(self, measure):
+        with pytest.raises(ValueError, match="non-finite"):
+            conformal_pvalue([0.0, math.nan, 1.0], 0.5, measure)
+        with pytest.raises(ValueError, match="candidate must be finite"):
+            conformal_pvalue([0.0, 1.0], math.inf, measure)
+        with pytest.raises(ValueError, match="non-finite"):
+            grid_region([0.0, math.inf], measure, 0.25, GridSpec(-1.0, 1.0, 11))
 
 
 class TestGridRegion:
@@ -136,6 +134,7 @@ class TestGridRegion:
         assert int(math.floor((region.grid_hi - region.grid_lo) / region.resolution + 0.5)) + 1 == 501
 
     def test_vectorized_scores_match_pointwise(self):
+        """The builder's matrix holds the scores of the bags brute_force_pvalue builds."""
         rng = np.random.default_rng(14)
         sample = rng.normal(size=5)
         xs = np.linspace(-4, 4, 41)
@@ -146,14 +145,68 @@ class TestGridRegion:
             DTAMeasure(augmented=True),
             DTAMeasure(augmented=False),
         ):
-            matrix = measure.grid_score_matrix(sample, xs)
+            matrix = _score_matrix(sample, xs, measure)
             bag_scores = np.empty_like(matrix)
             for j, x in enumerate(xs):
-                bag = np.append(sample, x)
+                bag = list(sample) + [float(x)]
                 for i in range(6):
-                    cond = bag if measure.augmented else np.delete(bag, i)
-                    bag_scores[j, i] = measure.score(cond, float(bag[i]))
-            np.testing.assert_allclose(matrix, bag_scores, rtol=1e-9, atol=1e-9)
+                    cond = bag if measure.augmented else bag[:i] + bag[i + 1:]
+                    bag_scores[j, i] = measure.score(np.array(cond), bag[i])
+            np.testing.assert_array_equal(matrix, bag_scores)
+
+
+class MedianDistance(ConformityMeasure):
+    """A measure that defines only the row-wise ``scores``."""
+
+    def __init__(self, augmented):
+        self.augmented = augmented
+
+    def scores(self, bags, points):
+        return -np.abs(points - np.median(bags, axis=1)[:, None])
+
+
+class TestMeasureContract:
+    @pytest.mark.parametrize("augmented", [True, False])
+    def test_scores_alone_drive_every_entry_point(self, augmented):
+        rng = np.random.default_rng(19)
+        sample = rng.normal(size=6)
+        measure = MedianDistance(augmented)
+        grid = default_grid(sample, num=301)
+        counts = step_profile(sample, measure, grid)
+        want = [brute_force_pvalue(sample, float(x), measure) * 7 for x in grid.points()]
+        np.testing.assert_array_equal(counts, np.round(want).astype(int))  # n + 1 = 7
+        for x in grid.points()[::25]:
+            assert conformal_pvalue(sample, float(x), measure) == brute_force_pvalue(
+                sample, float(x), measure
+            )
+        region = grid_region(sample, measure, 0.25, grid)
+        np.testing.assert_array_equal(region.accepted, counts > 1)  # k = floor(0.25 * 7) = 1
+
+
+class TestLargeOffsets:
+    @pytest.mark.parametrize("k", range(10))
+    def test_grid_region_matches_fab_interval_at_offset(self, k):
+        """Centered posterior updates keep the oracle exact far from zero."""
+        offset = 10.0**k
+        rng = np.random.default_rng(30 + k)
+        for _ in range(20):
+            n = int(rng.integers(3, 10))  # k = floor(alpha*(n+1)) >= 1: a bounded region
+            y = offset + rng.normal(size=n)
+            params = WorkingModelParams(
+                mu=offset + float(rng.uniform(-3, 3)),
+                tau2=float(rng.choice([0.1, 0.5, 2.0, 10.0])),
+                a=float(rng.uniform(0.5, 5)),
+                b=float(rng.uniform(0.5, 5)),
+            )
+            alpha = float(rng.choice([0.25, 0.5]))
+            grid = default_grid(y, num=2001, anchors=(params.mu,))
+            aug = grid_region(y, FABMeasure(params, augmented=True), alpha, grid)
+            plain = grid_region(y, FABMeasure(params, augmented=False), alpha, grid)
+            np.testing.assert_array_equal(aug.accepted, plain.accepted)
+            iv = fab_interval(y, params, alpha)
+            ((lo, hi),) = aug.intervals
+            assert abs(lo - iv.lower) <= grid.resolution
+            assert abs(hi - iv.upper) <= grid.resolution
 
 
 class TestStepProfile:

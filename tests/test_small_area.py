@@ -624,15 +624,32 @@ class TestAreaPipeline:
 
     @pytest.mark.parametrize("field, value", [
         ("X", math.nan), ("X", math.inf), ("centroids", math.nan), ("centroids", -math.inf),
+        ("X", "1-D"), ("centroids", "1-D"),
     ])
     def test_table_rejects_non_finite_covariates_and_centroids(self, field, value):
-        """A NaN centroid would otherwise send every area to DTA as "W must have a zero diagonal"."""
+        """Otherwise a NaN centroid sends every area to DTA ("W must have a zero diagonal"), as does a 1-D X."""
         table, _ = self._table()
         fields = {"ids": table.ids, "samples": table.samples, "X": table.X.copy(),
                   "centroids": table.centroids.copy()}
-        fields[field][3, 1] = value
-        with pytest.raises(ValueError, match="covariates and centroids must be finite"):
+        if value == "1-D":
+            fields[field] = fields[field][:, 1]
+            match = {"X": r"X must be a \(J, p\) matrix", "centroids": r"centroids must be \(J, 2\)"}[field]
+        else:
+            fields[field][3, 1] = value
+            match = "covariates and centroids must be finite"
+        with pytest.raises(ValueError, match=match):
             AreaTable(**fields)
+
+    @pytest.mark.parametrize("j", [-1, "J"])
+    def test_loo_index_out_of_range_raises_before_any_fit(self, monkeypatch, j):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted for an area index outside the table")
+
+        monkeypatch.setattr(small_area, "_loo_ab_fits", no_fit)
+        monkeypatch.setattr(small_area, "fit_mean_model", no_fit)
+        table, _ = self._table()
+        with pytest.raises(ValueError, match="out of range"):
+            loo_conformal_params(table, table.J if j == "J" else j)
 
     def test_one_path_from_table_to_prior(self):
         """``loo_conformal_params`` is the pipeline's prior, and estimate_ab's for n_j = 1 areas."""
