@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 invalid flags (an input path that cannot be read,
 or an output path that cannot be written, counts as one), 2 malformed
 input data, such as a non-numeric or non-finite field (reported with a
-line number), 3 rank-deficient covariate matrix. Every error is one
-``error:`` line on stderr.
+line number) or an input with no data rows, 3 rank-deficient covariate
+matrix. Every error is one ``error:`` line on stderr, and a failed run
+leaves an existing output file as it was. Rows whose fields are all blank
+are skipped in every input CSV. ``simulate --experiment bounds`` takes
+exactly one n and one tau2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -34,7 +37,6 @@ EXIT_RANK_DEFICIENT = 3
 class CSVFormatError(Exception):
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.line = line
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,42 +76,56 @@ def _open_input(path: str):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _open_output(path: str):
-    """``path`` opened for writing; a path that cannot be written is a bad flag (exit 1)."""
+def _open_output(path: str, mode: str = "w"):
+    """``path`` opened for writing; a path that cannot be written is a bad flag (exit 1).
+
+    Mode ``"a"`` checks that the path can be written without truncating it.
+    """
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _finite(text: str) -> float:
-    """``float(text)``; raises ``ValueError`` for text that is not a finite number."""
-    value = float(text)
+def _data_rows(path: str, header_ok, header_msg: str) -> list[tuple[int, list[str]]]:
+    """The ``(line_no, fields)`` data rows of the CSV at ``path``.
+
+    The stripped header must satisfy ``header_ok``. Rows whose fields are
+    all blank are skipped; every other row must be as wide as the header,
+    and at least one must be left.
+    """
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if not header_ok(header):
+            raise CSVFormatError(path, 1, header_msg)
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not any(field.strip() for field in row):
+                continue
+            if len(row) != len(header):
+                raise CSVFormatError(path, line_no, f"expected {len(header)} columns, found {len(row)}")
+            rows.append((line_no, row))
+    if not rows:
+        raise CSVFormatError(path, 2, "no data rows")
+    return rows
+
+
+def _finite(path: str, line_no: int, text: str) -> float:
+    """``float(text)``; text that is not a finite number is a ``path:line:`` error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(text)
+        raise CSVFormatError(path, line_no, f"not a finite number: {text!r}")
     return value
 
 
 def load_value_csv(path: str) -> np.ndarray:
     """Read a one-column CSV with header ``value``."""
-    values = []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["value"]:
-            raise CSVFormatError(path, 1, "expected a single 'value' column header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise CSVFormatError(path, line_no, f"expected 1 column, found {len(row)}")
-            try:
-                values.append(_finite(row[0]))
-            except ValueError:
-                raise CSVFormatError(path, line_no, f"not a finite number: {row[0]!r}") from None
-    if not values:
-        raise CSVFormatError(path, 2, "no data rows")
-    return np.array(values)
+    rows = _data_rows(path, lambda h: h == ["value"], "expected a single 'value' column header")
+    return np.array([_finite(path, line_no, row[0]) for line_no, row in rows])
 
 
 def load_area_table(areas_path: str, samples_path: str, standardize: bool = False) -> AreaTable:
@@ -119,68 +135,38 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
     ``samples.csv``: ``area_id,value``. With ``standardize`` the covariate
     columns (not the intercept) are centered and scaled to unit variance.
     """
-    ids: list[str] = []
-    centroids: list[list[float]] = []
-    covs: list[list[float]] = []
-    with _open_input(areas_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0].strip() != "area_id":
-            raise CSVFormatError(areas_path, 1, "expected header area_id,cx,cy[,cov1,...]")
-        width = len(header)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise CSVFormatError(areas_path, line_no, f"expected {width} columns, found {len(row)}")
-            try:
-                nums = [_finite(v) for v in row[1:]]
-            except ValueError:
-                raise CSVFormatError(areas_path, line_no, "non-numeric or non-finite field") from None
-            ids.append(row[0].strip())
-            centroids.append(nums[:2])
-            covs.append(nums[2:])
+    rows = _data_rows(
+        areas_path, lambda h: len(h) >= 3 and h[0] == "area_id",
+        "expected header area_id,cx,cy[,cov1,...]",
+    )
+    nums = np.array([[_finite(areas_path, line_no, v) for v in row[1:]] for line_no, row in rows])
+    ids = [row[0].strip() for _, row in rows]
     if len(ids) != len(set(ids)):
         raise CSVFormatError(areas_path, 1, "duplicate area ids")
 
     index = {area_id: j for j, area_id in enumerate(ids)}
     samples: list[list[float]] = [[] for _ in ids]
-    with _open_input(samples_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["area_id", "value"]:
-            raise CSVFormatError(samples_path, 1, "expected header area_id,value")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise CSVFormatError(samples_path, line_no, f"expected 2 columns, found {len(row)}")
-            area_id = row[0].strip()
-            if area_id not in index:
-                raise CSVFormatError(samples_path, line_no, f"unknown area id {area_id!r}")
-            try:
-                samples[index[area_id]].append(_finite(row[1]))
-            except ValueError:
-                raise CSVFormatError(samples_path, line_no, f"not a finite number: {row[1]!r}") from None
+    rows = _data_rows(samples_path, lambda h: h == ["area_id", "value"], "expected header area_id,value")
+    for line_no, (area_id, value) in rows:
+        area_id = area_id.strip()
+        if area_id not in index:
+            raise CSVFormatError(samples_path, line_no, f"unknown area id {area_id!r}")
+        samples[index[area_id]].append(_finite(samples_path, line_no, value))
     for j, vals in enumerate(samples):
         if not vals:
             raise CSVFormatError(samples_path, 1, f"area {ids[j]!r} has no samples")
 
-    if covs[0]:
-        columns = [np.array([c[i] for c in covs]) for i in range(len(covs[0]))]
-        if standardize:
-            for i, col in enumerate(columns):
-                sd = float(np.std(col))
-                if sd > 0.0:
-                    columns[i] = (col - float(np.mean(col))) / sd
-        X = np.column_stack([np.ones(len(ids))] + columns)
-    else:
-        X = np.ones((len(ids), 1))
+    columns = list(np.ascontiguousarray(nums[:, 2:].T))
+    if standardize:
+        for i, col in enumerate(columns):
+            sd = float(np.std(col))
+            if sd > 0.0:
+                columns[i] = (col - float(np.mean(col))) / sd
     return AreaTable(
         ids=ids,
         samples=[np.array(v) for v in samples],
-        X=X,
-        centroids=np.array(centroids),
+        X=np.column_stack([np.ones(len(ids))] + columns),
+        centroids=np.ascontiguousarray(nums[:, :2]),
     )
 
 
@@ -240,9 +226,10 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
         return EXIT_RANK_DEFICIENT
     alpha_mode: float | str = "exact" if args.alpha_mode == "exact" else args.alpha
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
-    out = sys.stdout if args.output == "-" else _open_output(args.output)
-    try:
-        records = area_pipeline(table, alpha_mode, methods)
+    if args.output != "-":
+        _open_output(args.output, "a").close()  # an unwritable path fails before any fit
+    records = area_pipeline(table, alpha_mode, methods)
+    with contextlib.nullcontext(sys.stdout) if args.output == "-" else _open_output(args.output) as out:
         out.write("area_id,n,alpha_j,method,lower,upper,mu_j,tau2_j,fallback_flag\n")
         for r in records:
             out.write(
@@ -250,18 +237,7 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
                 f"{_fmt(r.interval.lower)},{_fmt(r.interval.upper)},"
                 f"{_fmt(r.mu_j)},{_fmt(r.tau2_j)},{int(r.fallback)}\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -278,67 +254,67 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# SimConfig's defaults as config-file values; tuples are comma-joined.
-_SIM_DEFAULTS = {
-    f.name: ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
-    for f in dataclasses.fields(simulate.SimConfig)
+def _split(kind):
+    """Parser of comma-separated ``kind`` values; blank items are skipped."""
+    return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
+
+
+# Each SimConfig field with the parser of its text, from a config file or a flag.
+_SIM_FIELDS = {
+    "methods": _split(str.strip),
+    "n_list": _split(int),
+    "alpha": float,
+    "theta_grid": _split(float),
+    "mu": float,
+    "tau2_list": _split(float),
+    "replications": int,
+    "seed": int,
+    "population": str,
 }
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    # Precedence: command-line flag > config-file entry > built-in default.
-    values = dict(_SIM_DEFAULTS)
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key not in values:
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return EXIT_BAD_FLAGS
-            values[key] = value
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
+def _sim_config(args: argparse.Namespace) -> simulate.SimConfig:
+    """Precedence: command-line flag > config-file entry > SimConfig default."""
+    texts = _read_config_file(args.config) if args.config else {}
+    for key in texts:
+        if key not in _SIM_FIELDS:
+            raise ValueError(f"unknown config key {key!r}")
+    texts.update((key, getattr(args, key)) for key in _SIM_FIELDS if getattr(args, key) is not None)
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _SIM_FIELDS[key](text)
+        except ValueError:
+            raise ValueError(f"{key}: cannot parse {text!r}") from None
+    return simulate.SimConfig(**values)
 
-    n_list = _parse_ints(values["n_list"])
-    tau2_list = _parse_floats(values["tau2_list"])
-    theta_grid = _parse_floats(values["theta_grid"])
-    methods = tuple(m.strip() for m in values["methods"].split(",") if m.strip())
-    config = simulate.SimConfig(
-        methods=methods,
-        n_list=n_list,
-        alpha=float(values["alpha"]),
-        theta_grid=theta_grid,
-        mu=float(values["mu"]),
-        tau2_list=tau2_list,
-        replications=int(values["replications"]),
-        seed=int(values["seed"]),
-        population=values["population"],
-    )
-    experiment = str(args.experiment)
-    _open_output(args.output).close()  # an unwritable report path fails before the run
-    if experiment == "expected-width":
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    config = _sim_config(args)
+    if args.experiment == "bounds" and (len(config.n_list), len(config.tau2_list)) != (1, 1):
+        raise ValueError("bounds takes exactly one n and one tau2")
+    _open_output(args.output, "a").close()  # an unwritable report path fails before the run
+    if args.experiment == "expected-width":
         report = simulate.expected_width(config)
-    elif experiment == "coverage":
+    elif args.experiment == "coverage":
         report = simulate.coverage_experiment(config)
-    elif experiment == "bayes-risk":
+    elif args.experiment == "bayes-risk":
         report = simulate.bayes_risk_ratio(
-            n_list, tau2_list, config.alpha, config.replications, config.seed, mu=config.mu,
-        )
-    elif experiment == "bounds":
-        report = simulate.bounds_profile(
-            theta_grid, n_list[0], config.mu, tau2_list[0], config.alpha,
-            config.replications, config.seed,
+            config.n_list, config.tau2_list, config.alpha, config.replications, config.seed,
+            mu=config.mu,
         )
     else:
-        print(f"error: unknown experiment {experiment!r}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
-    report.to_csv(args.output, include_endpoints=(experiment == "bounds"))
+        report = simulate.bounds_profile(
+            config.theta_grid, config.n_list[0], config.mu, config.tau2_list[0], config.alpha,
+            config.replications, config.seed,
+        )
+    report.to_csv(args.output, include_endpoints=(args.experiment == "bounds"))
     return 0
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    beta = _parse_floats(args.beta)
+    beta = _split(float)(args.beta)
     table, truth = generate_table(
         J=args.J,
         n_range=(args.n_min, args.n_max),
@@ -398,29 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True,
                    choices=("expected-width", "bayes-risk", "coverage", "bounds"))
     p.add_argument("--config", default=None, help="optional key=value defaults file")
-    p.add_argument("--methods", default=None)
-    p.add_argument("--n-list", dest="n_list", default=None)
-    p.add_argument("--tau2-list", dest="tau2_list", default=None)
-    p.add_argument("--theta-grid", dest="theta_grid", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--population", choices=("normal", "mixture"), default=None)
+    for name in _SIM_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"))
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gen-data", help="synthetic area data from the spatial model")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--n-min", dest="n_min", type=int, default=3)
-    p.add_argument("--n-max", dest="n_max", type=int, default=10)
+    p.add_argument("--n-min", type=int, default=3)
+    p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--beta", default="0,0", help="comma-separated intercept and slope")
     p.add_argument("--eta2", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--a", type=float, default=6.0)
     p.add_argument("--b", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_gen_data)
     return parser
 

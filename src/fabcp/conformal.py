@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .working_model import WorkingModelParams, _log_t_density, _posterior_rows
+from .working_model import WorkingModelParams, _as_sample, _log_t_density, _posterior_rows
 
 __all__ = [
     "ConformityMeasure",
@@ -81,15 +81,6 @@ class DTAMeasure(ConformityMeasure):
 
 
 # -- rank counts --------------------------------------------------------------
-
-
-def _as_sample(sample: Sequence[float] | np.ndarray) -> np.ndarray:
-    y = np.asarray(sample, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional vector")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("sample contains non-finite values")
-    return y
 
 
 def _score_matrix(sample: np.ndarray, xs: np.ndarray, measure: ConformityMeasure) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -312,6 +313,105 @@ class TestSimulateCommand:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.endswith("mean_lower,mean_upper")
+
+
+    @pytest.mark.parametrize("lists", [("--tau2-list", ","), ("--n-list", "3,7")])
+    def test_bounds_needs_one_n_and_one_tau2(self, tmp_path, capsys, monkeypatch, lists):
+        """An empty list raised IndexError; a second value was dropped silently."""
+        monkeypatch.setattr(cli.simulate, "bounds_profile", _no_work)
+        out = tmp_path / "bounds.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--experiment", "bounds", *lists, "--output", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: bounds takes exactly one n and one tau2") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, setting", [("config", "alpha"), ("flag", "replications")])
+    def test_unparsable_setting_is_one_error_line(self, tmp_path, capsys, where, setting):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha=abc\n" if where == "config" else "seed=1\n")
+        flags = ("--replications", "x") if where == "flag" else ()
+        code, out, err = run_cli(
+            capsys, "simulate", "--experiment", "coverage", "--config", str(cfg), *flags,
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {setting}: ") and err.count("\n") == 1
+
+    def test_config_and_flags_give_the_flags_only_report(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_list=3,5\ntau2_list=0.5,2\nmu=0.1\nseed=9\nmethods=fab\n")
+        from_config = tmp_path / "config.csv"
+        from_flags = tmp_path / "flags.csv"
+        code1, _, _ = run_cli(
+            capsys, "simulate", "--experiment", "bayes-risk", "--config", str(cfg),
+            "--replications", "200", "--seed", "4", "--output", str(from_config),
+        )
+        code2, _, _ = run_cli(
+            capsys, "simulate", "--experiment", "bayes-risk", "--n-list", "3,5",
+            "--tau2-list", "0.5,2", "--mu", "0.1", "--seed", "4", "--methods", "fab",
+            "--replications", "200", "--output", str(from_flags),
+        )
+        assert code1 == code2 == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_settings_table_covers_sim_config(self):
+        assert list(cli._SIM_FIELDS) == [f.name for f in dataclasses.fields(cli.simulate.SimConfig)]
+
+
+@pytest.mark.parametrize("which", ["input", "areas", "samples"])
+def test_header_only_input_has_no_data_rows(tmp_path, capsys, which):
+    """A header-only areas.csv raised IndexError with a traceback."""
+    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
+    assert code == 0
+    paths = {"input": tmp_path / "s.csv", "areas": tmp_path / "d_areas.csv",
+             "samples": tmp_path / "d_samples.csv"}
+    write_values(paths["input"], [1.0, 2.0])
+    header = paths[which].read_text().splitlines()[0]
+    paths[which].write_text(header + "\n\n")
+    argv = (["predict", "--input", str(paths["input"]), "--tau2", "1", "--alpha", "0.25"]
+            if which == "input" else
+            ["small-area", "--areas", str(paths["areas"]), "--samples", str(paths["samples"])])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {paths[which]}:2: no data rows\n"
+
+
+def test_blank_rows_are_skipped_in_every_input(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
+    assert code == 0
+    areas, samples = tmp_path / "d_areas.csv", tmp_path / "d_samples.csv"
+    values = tmp_path / "s.csv"
+    write_values(values, [1.0, 2.0])
+    want = (cli.load_value_csv(str(values)), cli.load_area_table(str(areas), str(samples)))
+    for path, blank in ((values, " \n"), (areas, ",, ,\n"), (samples, "\n , \n")):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + blank + "".join(lines[1:]) + blank)
+    got = (cli.load_value_csv(str(values)), cli.load_area_table(str(areas), str(samples)))
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].ids == want[1].ids
+    np.testing.assert_array_equal(got[1].X, want[1].X)
+    np.testing.assert_array_equal(got[1].centroids, want[1].centroids)
+    for a, b in zip(got[1].samples, want[1].samples):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("command", ["small-area", "simulate"])
+def test_failed_run_keeps_existing_output(tmp_path, capsys, command):
+    """A run that exited non-zero used to leave an existing output file empty."""
+    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
+    assert code == 0
+    keep = tmp_path / "keep.csv"
+    keep.write_text("previous results\n")
+    argv = {
+        "small-area": ["small-area", "--areas", str(tmp_path / "d_areas.csv"),
+                       "--samples", str(tmp_path / "d_samples.csv"), "--alpha", "1.5"],
+        "simulate": ["simulate", "--experiment", "bounds", "--n-list", "3,7"],
+    }[command]
+    code, _, err = run_cli(capsys, *argv, "--output", str(keep))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert keep.read_text() == "previous results\n"
 
 
 @pytest.mark.parametrize("flag", [
