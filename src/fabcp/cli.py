@@ -5,7 +5,7 @@ or an output path that cannot be written, counts as one), 2 malformed
 input data, such as a non-numeric or non-finite field (reported with a
 line number) or an input with no data rows, 3 rank-deficient covariate
 matrix. Every error is one ``error:`` line on stderr, and a failed run
-leaves an existing output file as it was. Rows whose fields are all blank
+leaves the output path as it was. Rows whose fields are all blank
 are skipped in every input CSV. ``simulate --experiment bounds`` takes
 exactly one n and one tau2.
 """
@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import simulate
-from .baselines import dta_interval
 from .fab import fab_interval_from_precision
 from .simulate import _fmt
 from .small_area import AreaTable, area_pipeline, generate_table
@@ -53,12 +54,6 @@ def _dump_json(obj: dict) -> str:
     for key, value in obj.items():
         if isinstance(value, float):
             token = f'"{_fmt(value)}"' if math.isinf(value) else _fmt(value)
-        elif isinstance(value, bool):
-            token = "true" if value else "false"
-        elif value is None:
-            token = "null"
-        elif isinstance(value, int):
-            token = str(value)
         else:
             token = json.dumps(value)
         parts.append(f'"{key}": {token}')
@@ -77,14 +72,19 @@ def _open_input(path: str):
 
 
 def _open_output(path: str, mode: str = "w"):
-    """``path`` opened for writing; a path that cannot be written is a bad flag (exit 1).
-
-    Mode ``"a"`` checks that the path can be written without truncating it.
-    """
+    """``path`` opened for writing; a path that cannot be written is a bad flag (exit 1)."""
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Fail now if ``path`` cannot be written; leave the file system as it was."""
+    created = not os.path.lexists(path)
+    _open_output(path, "a").close()
+    if created:
+        os.remove(path)
 
 
 def _data_rows(path: str, header_ok, header_msg: str) -> list[tuple[int, list[str]]]:
@@ -175,29 +175,21 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     sample = load_value_csv(args.input)
-    n = sample.size
-    if args.precision is not None:
-        if args.precision < 0:
-            print("error: --precision must be nonnegative", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-        precision, mu = args.precision, args.mu
+    precision = args.precision
+    if precision is not None:
+        if precision < 0:
+            raise ValueError("--precision must be nonnegative")
     elif args.tau2 is not None:
-        if args.tau2 <= 0:
-            print("error: --tau2 must be positive", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-        precision, mu = 1.0 / args.tau2, args.mu
+        if not args.tau2 > 0:
+            raise ValueError("--tau2 must be positive")
+        precision = 1.0 / args.tau2
     elif args.method == "fab":
-        print("error: --method fab needs --tau2 or --precision", file=sys.stderr)
-        return EXIT_BAD_FLAGS
-    else:
-        precision, mu = 0.0, 0.0
+        raise ValueError("--method fab needs --tau2 or --precision")
+    # DTA is the FAB interval with zero prior precision
+    mu, precision = (args.mu, precision) if args.method == "fab" else (0.0, 0.0)
 
-    if args.method == "fab":
-        interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
-    else:
-        interval = dta_interval(sample, args.alpha)
-
-    if args.method == "fab" and precision > 0.0:
+    interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
+    if precision > 0.0:
         theta_tilde = posterior_mean_theta(
             sample, WorkingModelParams(mu=mu, tau2=1.0 / precision, a=1.0, b=1.0)
         )
@@ -209,7 +201,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
               file=sys.stderr)
     print(_dump_json({
         "method": args.method,
-        "n": n,
+        "n": sample.size,
         "k": interval.k,
         "achieved_level": interval.achieved_level,
         "lower": interval.lower,
@@ -227,7 +219,7 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
     alpha_mode: float | str = "exact" if args.alpha_mode == "exact" else args.alpha
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
     if args.output != "-":
-        _open_output(args.output, "a").close()  # an unwritable path fails before any fit
+        _check_output(args.output)  # an unwritable path fails before any fit
     records = area_pipeline(table, alpha_mode, methods)
     with contextlib.nullcontext(sys.stdout) if args.output == "-" else _open_output(args.output) as out:
         out.write("area_id,n,alpha_j,method,lower,upper,mu_j,tau2_j,fallback_flag\n")
@@ -280,20 +272,20 @@ def _sim_config(args: argparse.Namespace) -> simulate.SimConfig:
         if key not in _SIM_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
     texts.update((key, getattr(args, key)) for key in _SIM_FIELDS if getattr(args, key) is not None)
-    values = {}
+    values = {f.name: f.default for f in dataclasses.fields(simulate.SimConfig)}
     for key, text in texts.items():
         try:
             values[key] = _SIM_FIELDS[key](text)
         except ValueError:
             raise ValueError(f"{key}: cannot parse {text!r}") from None
+    if args.experiment == "bounds" and (len(values["n_list"]), len(values["tau2_list"])) != (1, 1):
+        raise ValueError("bounds takes exactly one n and one tau2")
     return simulate.SimConfig(**values)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _sim_config(args)
-    if args.experiment == "bounds" and (len(config.n_list), len(config.tau2_list)) != (1, 1):
-        raise ValueError("bounds takes exactly one n and one tau2")
-    _open_output(args.output, "a").close()  # an unwritable report path fails before the run
+    _check_output(args.output)  # an unwritable report path fails before the run
     if args.experiment == "expected-width":
         report = simulate.expected_width(config)
     elif args.experiment == "coverage":
@@ -308,7 +300,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             config.theta_grid, config.n_list[0], config.mu, config.tau2_list[0], config.alpha,
             config.replications, config.seed,
         )
-    report.to_csv(args.output, include_endpoints=(args.experiment == "bounds"))
+    report.to_csv(args.output)
     return 0
 
 

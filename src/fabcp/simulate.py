@@ -57,13 +57,16 @@ class SimConfig:
     population: str = "normal"
 
     def __post_init__(self) -> None:
+        for name in ("methods", "n_list", "theta_grid", "tau2_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"every sample size must be at least 1, got n_list={self.n_list}")
-        if any(t <= 0.0 for t in self.tau2_list):
+        if any(not t > 0.0 for t in self.tau2_list):
             raise ValueError("all tau2 values must be positive")
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
@@ -74,16 +77,18 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimRow:
+    """One method at one cell; a statistic left NaN was not measured."""
+
     method: str
     n: int
     theta_minus_mu: float
     tau2: float
-    mean_width: float
-    width_se: float
-    coverage: float
-    coverage_se: float
-    inf_width_count: int
     seed: int
+    mean_width: float = math.nan
+    width_se: float = math.nan
+    coverage: float = math.nan
+    coverage_se: float = math.nan
+    inf_width_count: int = 0
     mean_lower: float = math.nan
     mean_upper: float = math.nan
 
@@ -107,9 +112,10 @@ class SimReport:
 
     rows: tuple[SimRow, ...]
 
-    def to_csv(self, path: str, include_endpoints: bool = False) -> None:
-        """Write the fixed-schema CSV (optionally with mean endpoint columns)."""
-        header = _CSV_HEADER + (",mean_lower,mean_upper" if include_endpoints else "")
+    def to_csv(self, path: str) -> None:
+        """Write the fixed-schema CSV, with the mean endpoint columns when the rows carry them."""
+        endpoints = any(not math.isnan(r.mean_lower) for r in self.rows)
+        header = _CSV_HEADER + (",mean_lower,mean_upper" if endpoints else "")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for r in self.rows:
@@ -118,7 +124,7 @@ class SimReport:
                     _fmt(r.mean_width), _fmt(r.width_se), _fmt(r.coverage),
                     _fmt(r.coverage_se), str(r.inf_width_count), str(r.seed),
                 ]
-                if include_endpoints:
+                if endpoints:
                     cells += [_fmt(r.mean_lower), _fmt(r.mean_upper)]
                 fh.write(",".join(cells) + "\n")
 
@@ -296,10 +302,6 @@ def _width_rows(
     return rows
 
 
-_BLANK = dict(mean_width=math.nan, width_se=math.nan, coverage=math.nan,
-              coverage_se=math.nan, inf_width_count=0)
-
-
 def expected_width(config: SimConfig) -> SimReport:
     """Monte Carlo expected interval widths over (n, tau2, theta) cells.
 
@@ -313,8 +315,7 @@ def expected_width(config: SimConfig) -> SimReport:
     for cell, (n, tau2, theta) in enumerate(cells):
         u = _cell_uniforms(config.seed, cell, config.replications, n)
         samples = _transform(config.population, theta, u)
-        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2,
-                      seed=config.seed, **_BLANK)
+        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
         rows.extend(_width_rows(samples, config.methods, config.alpha, config.mu, tau2, base))
     return SimReport(rows=tuple(rows))
 
@@ -332,15 +333,17 @@ def bayes_risk_ratio(
     Each replication draws ``theta ~ N(mu, tau2)`` and then the sample
     ``y | theta ~ N(theta, 1)``; the FAB interval uses the same (mu, tau2)
     as its working-model prior. The resulting Bayes risk ratio does not
-    depend on mu.
+    depend on mu. The arguments follow :class:`SimConfig`'s rules.
     """
+    SimConfig(n_list=tuple(n_list), alpha=alpha, mu=mu, tau2_list=tuple(tau2_grid),
+              replications=replications, seed=seed)
     rows: list[SimRow] = []
     cells = [(n, t2) for n in n_list for t2 in tau2_grid]
     for cell, (n, tau2) in enumerate(cells):
         u = _cell_uniforms(seed, cell, replications, n + 1)
         theta = mu + math.sqrt(tau2) * _normals(u[:, 0])
         samples = theta[:, None] + _normals(u[:, 1:])
-        base = SimRow(method="", n=n, theta_minus_mu=math.nan, tau2=tau2, seed=seed, **_BLANK)
+        base = SimRow(method="", n=n, theta_minus_mu=math.nan, tau2=tau2, seed=seed)
         rows.extend(_width_rows(samples, ("fab", "dta"), alpha, mu, tau2, base))
     return SimReport(rows=tuple(rows))
 
@@ -353,8 +356,7 @@ def coverage_experiment(config: SimConfig) -> SimReport:
         u = _cell_uniforms(config.seed, cell, config.replications, n + 1)
         draws = _transform(config.population, theta, u)
         samples, y_next = draws[:, :n], draws[:, n]
-        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2,
-                      seed=config.seed, **_BLANK)
+        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
         for method in config.methods:
             bounds = _method_bounds(method, samples, config.alpha, config.mu, tau2)
             hit = (bounds[:, 0] <= y_next) & (y_next <= bounds[:, 1])
@@ -374,12 +376,14 @@ def bounds_profile(
     replications: int,
     seed: int,
 ) -> SimReport:
-    """Monte Carlo mean interval endpoints of FAB and DTA across theta."""
+    """Monte Carlo mean interval endpoints of FAB and DTA across theta, by SimConfig's rules."""
+    SimConfig(n_list=(n,), alpha=alpha, theta_grid=tuple(theta_grid), mu=mu, tau2_list=(tau2,),
+              replications=replications, seed=seed)
     rows: list[SimRow] = []
     for cell, theta in enumerate(theta_grid):
         u = _cell_uniforms(seed, cell, replications, n)
         samples = _transform("normal", theta, u)
-        base = SimRow(method="", n=n, theta_minus_mu=theta - mu, tau2=tau2, seed=seed, **_BLANK)
+        base = SimRow(method="", n=n, theta_minus_mu=theta - mu, tau2=tau2, seed=seed)
         for method in ("fab", "dta"):
             bounds = _method_bounds(method, samples, alpha, mu, tau2)
             mean, se, n_inf = _width_stats(bounds[:, 1] - bounds[:, 0])

@@ -60,6 +60,7 @@ __all__ = [
     "conditional_params",
     "area_pipeline",
     "exact_alpha",
+    "loo_conformal_params",
     "generate_table",
 ]
 

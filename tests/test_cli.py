@@ -107,6 +107,17 @@ class TestPredict:
         assert code == 1
         assert "--tau2 or --precision" in err
 
+    @pytest.mark.parametrize("method", ["fab", "dta"])
+    def test_nan_tau2_blames_tau2(self, tmp_path, capsys, method):
+        """The error named --precision, a flag that was not passed."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--tau2", "nan", "--alpha", "0.25",
+            "--method", method,
+        )
+        assert (code, out, err) == (1, "", "error: --tau2 must be positive\n")
+
     @pytest.mark.parametrize("prior", [("--precision", "0"), ("--tau2", "1")])
     def test_non_finite_mu_exits_one(self, tmp_path, capsys, prior):
         f = tmp_path / "s.csv"
@@ -356,6 +367,21 @@ class TestSimulateCommand:
         assert code1 == code2 == 0
         assert from_config.read_bytes() == from_flags.read_bytes()
 
+    @pytest.mark.parametrize("experiment, flag, name", [
+        ("coverage", "--tau2-list", "tau2_list"),
+        ("coverage", "--n-list", "n_list"),
+        ("coverage", "--methods", "methods"),
+        ("bayes-risk", "--theta-grid", "theta_grid"),
+    ])
+    def test_empty_list_is_one_error_line(self, tmp_path, capsys, experiment, flag, name):
+        """An empty list gave a header-only report and exit 0."""
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", experiment, flag, ",", "--output", str(out),
+        )
+        assert (code, stdout, err) == (1, "", f"error: {name} must not be empty\n")
+        assert not out.exists()
+
     def test_settings_table_covers_sim_config(self):
         assert list(cli._SIM_FIELDS) == [f.name for f in dataclasses.fields(cli.simulate.SimConfig)]
 
@@ -399,19 +425,23 @@ def test_blank_rows_are_skipped_in_every_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["small-area", "simulate"])
 def test_failed_run_keeps_existing_output(tmp_path, capsys, command):
-    """A run that exited non-zero used to leave an existing output file empty."""
+    """A run that exited non-zero used to leave an existing output file empty,
+    and a new 0-byte file where there was none."""
     code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
     assert code == 0
-    keep = tmp_path / "keep.csv"
+    keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
     keep.write_text("previous results\n")
+    # each run fails after its output path was checked
     argv = {
         "small-area": ["small-area", "--areas", str(tmp_path / "d_areas.csv"),
                        "--samples", str(tmp_path / "d_samples.csv"), "--alpha", "1.5"],
-        "simulate": ["simulate", "--experiment", "bounds", "--n-list", "3,7"],
+        "simulate": ["simulate", "--experiment", "coverage", "--methods", "dta", "--n-list", "1"],
     }[command]
-    code, _, err = run_cli(capsys, *argv, "--output", str(keep))
-    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    for path in (keep, new):
+        code, _, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert keep.read_text() == "previous results\n"
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,9 +1,11 @@
 """Golden digests of seeded outputs whose bits depend on how samples are summed.
 
-Every sample sum and every reported mean or variance is the correctly
-rounded sum, bit-equal to ``math.fsum``. These SHA-256 digests were taken
-with ``math.fsum`` itself doing the summing; a change of summation order or
-rounding anywhere on these paths moves them. The inputs straddle the
+The scalar intervals, ``posterior_mean_theta``, ``AreaTable`` and every
+reported mean or variance use the correctly rounded sum, bit-equal to
+``math.fsum``; these SHA-256 digests were taken with ``math.fsum`` itself
+doing that summing. The simulator's per-replication sums and the pivot
+and EB means and variances are numpy's own sums. A change of summation
+order or rounding anywhere on these paths moves the digests. The inputs straddle the
 summation kernel's size cutoff and its block size. The small-area digest
 pins every field of the leave-one-area-out pipeline's records, fallbacks
 included, and the (a, b) digest every leave-one-out variance fit, taken
@@ -30,9 +32,9 @@ from fabcp.working_model import WorkingModelParams, posterior_mean_theta
 _METHODS = ("fab", "dta", "pivot_z", "pivot_t", "eb")
 
 
-def _csv_digest(report, tmp_path, include_endpoints=False) -> str:
+def _csv_digest(report, tmp_path) -> str:
     path = tmp_path / "report.csv"
-    report.to_csv(str(path), include_endpoints=include_endpoints)
+    report.to_csv(str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -66,7 +68,7 @@ def _sim_report(name: str):
 
 @pytest.mark.parametrize("name", sorted(SIM_DIGESTS))
 def test_simulation_report_bytes(name, tmp_path):
-    got = _csv_digest(_sim_report(name), tmp_path, include_endpoints=name == "bounds_profile")
+    got = _csv_digest(_sim_report(name), tmp_path)
     assert got == SIM_DIGESTS[name], got
 
 

@@ -242,7 +242,7 @@ class TestReportSerialization:
         rep = bounds_profile((0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25,
                              replications=100, seed=12)
         out = tmp_path / "bounds.csv"
-        rep.to_csv(str(out), include_endpoints=True)
+        rep.to_csv(str(out))
         header = out.read_text().splitlines()[0]
         assert header.endswith(",mean_lower,mean_upper")
 
@@ -255,6 +255,8 @@ class TestConfigValidation:
             SimConfig(alpha=1.5)
         with pytest.raises(ValueError):
             SimConfig(tau2_list=(0.0,))
+        with pytest.raises(ValueError, match="tau2 values must be positive"):
+            SimConfig(tau2_list=(0.5, math.nan))
         with pytest.raises(ValueError):
             SimConfig(methods=("fab", "bootstrap"))
         with pytest.raises(ValueError):
@@ -263,6 +265,54 @@ class TestConfigValidation:
     def test_sample_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(n_list=(3, 0))
+
+    @pytest.mark.parametrize("name", ["methods", "n_list", "theta_grid", "tau2_list"])
+    def test_empty_list_rejected(self, name):
+        """An empty list used to give a header-only report."""
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            SimConfig(**{name: ()})
+
+
+_RULES = [
+    ("alpha", 1.5, "alpha must lie in"),
+    ("replications", 0, "replications must be at least 1"),
+    ("tau2", 0.0, "tau2 values must be positive"),
+    ("tau2", -1.0, "tau2 values must be positive"),
+    ("n", 0, "sample size must be at least 1"),
+]
+
+
+class TestSweepArguments:
+    """``bayes_risk_ratio`` and ``bounds_profile`` follow SimConfig's rules before any draw."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fabcp.simulate._cell_uniforms",
+                            lambda *args: calls.append(args) or _cell_uniforms(*args))
+        return calls
+
+    @pytest.mark.parametrize("name, value, message", _RULES + [
+        ("n_list", (), "n_list must not be empty"),
+        ("tau2_grid", (), "tau2_list must not be empty"),
+    ])
+    def test_bayes_risk_ratio(self, draws, name, value, message):
+        args = dict(n_list=(3,), tau2_grid=(0.5,), alpha=0.25, replications=50, seed=1)
+        lists = {"n": "n_list", "tau2": "tau2_grid"}  # scalar rules apply to each list entry
+        args[lists.get(name, name)] = (value,) if name in lists else value
+        with pytest.raises(ValueError, match=message):
+            bayes_risk_ratio(**args)
+        assert draws == []
+
+    @pytest.mark.parametrize("name, value, message", _RULES + [
+        ("theta_grid", (), "theta_grid must not be empty"),
+    ])
+    def test_bounds_profile(self, draws, name, value, message):
+        args = dict(theta_grid=(0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25, replications=50, seed=1)
+        args[name] = value
+        with pytest.raises(ValueError, match=message):
+            bounds_profile(**args)
+        assert draws == []
 
 
 class TestLargeSampleSizes:
