@@ -68,6 +68,10 @@ class SimConfig:
             raise ValueError(f"every sample size must be at least 1, got n_list={self.n_list}")
         if any(not t > 0.0 for t in self.tau2_list):
             raise ValueError("all tau2 values must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not all(math.isfinite(t) for t in self.theta_grid):
+            raise ValueError("theta_grid values must be finite")
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")

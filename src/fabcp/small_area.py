@@ -133,7 +133,7 @@ class AreaTable:
         out = np.full(self.J, np.nan)
         for j, y in enumerate(self.samples):
             if y.size >= 2:
-                m = fsum(y) / y.size
+                m = self.ybar[j]
                 out[j] = math.fsum((v - m) ** 2 for v in y)
         return out
 
@@ -833,13 +833,12 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
     """Estimate area ``j``'s conformal prior from every other area's data.
 
     This is the pipeline's path for the one area ``j``, so the prior of an
-    area with ``n_j >= 2`` is its pipeline record's, bit for bit. A map
-    whose full weights are rejected raises before any fit; an error of
-    the fit re-raises, and an index outside ``[0, J)`` raises before both.
+    area with ``n_j >= 2`` is its pipeline record's, bit for bit. An error
+    of the fit re-raises, the full weights' rejection of the map included
+    (see :func:`_priors`), and an index outside ``[0, J)`` raises before any.
     """
     if not 0 <= j < table.J:
         raise ValueError(f"area index {j} out of range for J={table.J}")
-    table.weights  # a rejected map raises here
     ((_, prior),) = _priors(table, [j])
     if isinstance(prior, Exception):
         raise prior
@@ -865,11 +864,13 @@ def _prior_given_ab(table: AreaTable, j: int, a_hat: float, b_hat: float) -> Are
 def _priors(table: AreaTable, areas: list[int]) -> list[tuple[int, AreaConformalParams | Exception]]:
     """``(j, prior)`` for each area of ``areas``, or ``(j, error)`` where its fit raised.
 
-    The areas' (a, b) rows run in one lockstep search, then each area's
-    prior is fitted from its row. An error the search itself raises is
-    every area's result.
+    The full-map weights come first, so on a map they reject their
+    ``ValueError`` is every area's result and nothing is fitted. Then the
+    areas' (a, b) rows run in one lockstep search, and each area's prior is
+    fitted from its row; an error the search raises is every area's result.
     """
     try:
+        table.weights  # the map gate
         ab_fits = _loo_ab_fits(table, areas)
     except Exception as exc:
         return [(j, exc) for j in areas]
@@ -980,13 +981,13 @@ def area_pipeline(
         paired rows used for width comparisons.
 
     Every argument is checked, and a bad one raises ``ValueError``, before
-    any fit. A map whose full weights are rejected is not fitted at all;
-    otherwise each area's whole fit, from its leave-one-out (a, b) row
-    (bit-equal to one ``estimate_ab`` call) to its prior, runs on one of
-    the CPUs the process may use (see :func:`_shared_priors`); the records
-    do not depend on how many. Areas whose hyperparameter fit fails get a DTA interval
-    flagged as a fallback, so every returned record keeps the conformal
-    coverage guarantee.
+    any fit. Each area's whole fit, from the full-map weights and its
+    leave-one-out (a, b) row (bit-equal to one ``estimate_ab`` call) to its
+    prior, runs on one of the CPUs the process may use (see :func:`_priors`
+    and :func:`_shared_priors`); the records do not depend on how many. An
+    area whose fit raises ``EstimationError`` or ``ValueError``, a rejected
+    map included, gets a DTA interval flagged as a fallback, so every record
+    keeps the conformal coverage guarantee; any other error re-raises.
     """
     if table.J < 3:
         raise ValueError("the pipeline needs at least three areas")
@@ -995,28 +996,19 @@ def area_pipeline(
     if not methods or not set(methods) <= {"fab", "dta"}:
         raise ValueError(f"methods must be a nonempty tuple of 'fab' and 'dta', got {methods!r}")
 
-    priors: dict[int, AreaConformalParams | Exception] = {}
-    if "fab" in methods:
-        try:
-            table.weights
-        except ValueError as exc:
-            priors = {j: exc for j in range(table.J)}
-        else:
-            priors = _shared_priors(table)
+    priors = _shared_priors(table) if "fab" in methods else {}
 
     out: list[AreaPrediction] = []
     for j, (area, y) in enumerate(zip(table.ids, table.samples)):
         if y.size < 2:
             continue
         alpha_j = exact_alpha(y.size) if alpha_mode == "exact" else float(alpha_mode)
-        params: AreaConformalParams | None = None
-        if "fab" in methods:
-            try:
-                if isinstance(priors[j], Exception):
-                    raise priors[j]
-                params = priors[j]
-            except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:
-                logger.warning("area %s: falling back to DTA (%s)", area, exc)
+        params = priors.get(j)
+        if isinstance(params, (EstimationError, ValueError)):
+            logger.warning("area %s: falling back to DTA (%s)", area, params)
+            params = None
+        elif isinstance(params, Exception):
+            raise params
         for method in methods:
             if method == "fab" and params is not None:
                 interval = fab_interval_from_precision(y, params.mu_j, 1.0 / params.tau2_j, alpha_j)
@@ -1069,6 +1061,11 @@ def generate_table(
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError("invalid n_range")
+    if not 0.0 <= eta2 < math.inf:
+        raise ValueError(f"eta2 must be finite and nonnegative, got {eta2}")
+    for name, value in (("a", a), ("b", b)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
     centroids = rng.uniform(0.0, extent, size=(J, 2))
     covariate = rng.normal(size=J)

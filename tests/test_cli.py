@@ -164,6 +164,19 @@ class TestGenData:
         v = [np.var(np.array(vals), ddof=1) for vals in samples.values()]
         assert float(np.mean(v)) == pytest.approx(4.0 / 4.0, rel=0.15)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta2", "-1"), ("--eta2", "nan"), ("--a", "0"), ("--a", "-2"),
+        ("--b", "nan"), ("--b", "-1"), ("--b", "0"),
+    ])
+    def test_invalid_model_parameter_is_one_error_line(self, tmp_path, capsys, flag, value):
+        """Each failed with a message naming nothing, or ("--b 0") wrote a table."""
+        code, out, err = run_cli(
+            capsys, "gen-data", "--J", "5", flag, value, "--out-prefix", str(tmp_path / "d"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:]} must be finite and ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_rho_zero_gives_uncorrelated_neighbors(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "gen-data", "--J", "400", "--rho", "0", "--eta2", "1",
@@ -382,6 +395,20 @@ class TestSimulateCommand:
         assert (code, stdout, err) == (1, "", f"error: {name} must not be empty\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, flag, value, message", [
+        ("coverage", "--mu", "nan", "mu must be finite"),
+        ("expected-width", "--theta-grid", "inf", "theta_grid values must be finite"),
+    ])
+    def test_non_finite_setting_is_one_error_line(self, tmp_path, capsys, experiment, flag, value, message):
+        """These exited 0 with infinite or NaN widths."""
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", experiment, flag, value,
+            "--replications", "50", "--output", str(out),
+        )
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_settings_table_covers_sim_config(self):
         assert list(cli._SIM_FIELDS) == [f.name for f in dataclasses.fields(cli.simulate.SimConfig)]
 
@@ -485,6 +512,7 @@ def test_import_does_not_load_scipy_optimize():
     code = (
         "import sys, fabcp, fabcp.cli\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded at import'\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded at import'\n"
         "from scipy.optimize import minimize\n"
         "assert fabcp.small_area.minimize is minimize\n"
     )

@@ -266,6 +266,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(n_list=(3, 0))
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("mu", math.nan, "mu must be finite"),
+        ("mu", -math.inf, "mu must be finite"),
+        ("theta_grid", (0.0, math.nan), "theta_grid values must be finite"),
+        ("theta_grid", (math.inf,), "theta_grid values must be finite"),
+    ])
+    def test_non_finite_mu_or_theta_rejected(self, name, value, message):
+        """A NaN mu gave every FAB width as infinite; an infinite theta gave NaN rows."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["methods", "n_list", "theta_grid", "tau2_list"])
     def test_empty_list_rejected(self, name):
         """An empty list used to give a header-only report."""
@@ -295,6 +306,7 @@ class TestSweepArguments:
     @pytest.mark.parametrize("name, value, message", _RULES + [
         ("n_list", (), "n_list must not be empty"),
         ("tau2_grid", (), "tau2_list must not be empty"),
+        ("mu", math.nan, "mu must be finite"),
     ])
     def test_bayes_risk_ratio(self, draws, name, value, message):
         args = dict(n_list=(3,), tau2_grid=(0.5,), alpha=0.25, replications=50, seed=1)
@@ -306,6 +318,8 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("name, value, message", _RULES + [
         ("theta_grid", (), "theta_grid must not be empty"),
+        ("mu", math.inf, "mu must be finite"),
+        ("theta_grid", (0.0, math.nan), "theta_grid values must be finite"),
     ])
     def test_bounds_profile(self, draws, name, value, message):
         args = dict(theta_grid=(0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25, replications=50, seed=1)

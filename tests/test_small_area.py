@@ -699,24 +699,40 @@ class TestAreaPipeline:
         with pytest.raises(ValueError, match=match):
             area_pipeline(single, alpha_mode, methods=methods)
 
-    def test_rejected_map_falls_back_without_any_fit(self, monkeypatch):
-        """One far centroid: the full weights reject the map before any fit."""
+    def _isolated_table(self):
+        """A table whose area 3 lies so far off that the full weights reject the map."""
+        table, _ = self._table()
+        far = table.centroids.copy()
+        far[3] += 1e4
+        return AreaTable(ids=table.ids, samples=table.samples, X=table.X, centroids=far)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_rejected_map_falls_back_without_any_fit(self, monkeypatch, pin_cpus, cpus):
+        """One far centroid: the full weights reject the map before any fit, in every process."""
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted an area on a map the weights reject")
 
         monkeypatch.setattr(small_area, "estimate_ab", no_fit)
         monkeypatch.setattr(small_area, "_loo_ab_fits", no_fit)
-        table, _ = self._table()
-        far = table.centroids.copy()
-        far[3] += 1e4
-        isolated = AreaTable(ids=table.ids, samples=table.samples, X=table.X, centroids=far)
-        records = area_pipeline(isolated, "exact", methods=("fab", "dta"))
+        pin_cpus(cpus)
+        table = self._isolated_table()
+        records = area_pipeline(table, "exact", methods=("fab", "dta"))
+        assert multiprocessing.active_children() == []
         fab = [r for r in records if r.method == "fab"]
         dta = {r.area_id: r.interval for r in records if r.method == "dta"}
         assert len(fab) == len(dta) == table.J
         for r in fab:
             assert r.fallback and math.isnan(r.mu_j) and math.isnan(r.tau2_j)
             assert r.interval == dta[r.area_id]
+
+    def test_loo_on_rejected_map_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted an area on a map the weights reject")
+
+        monkeypatch.setattr(small_area, "_loo_ab_fits", no_fit)
+        monkeypatch.setattr(small_area, "fit_mean_model", no_fit)
+        with pytest.raises(ValueError, match="isolated area"):
+            loo_conformal_params(self._isolated_table(), 0)
 
     def test_failed_fit_falls_back_to_dta(self):
         # a rank-deficient covariate matrix breaks the mean-model fit; the
@@ -964,6 +980,21 @@ class TestGenerateTable:
                                   eta2=0.5, rho=0.3, a=6.0, b=4.0, rng=rng, extent=8.0)
         mean_var = float(np.mean(table.s2 / (table.n - 1)))
         assert mean_var == pytest.approx(4.0 / 4.0, rel=0.15)
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta2", -1.0), ("eta2", math.nan), ("eta2", math.inf),
+        ("a", 0.0), ("a", -2.0), ("a", math.nan), ("a", math.inf),
+        ("b", 0.0), ("b", -1.0), ("b", math.nan), ("b", math.inf),
+    ])
+    def test_invalid_model_parameter_rejected_before_any_draw(self, name, value):
+        """These failed with a message naming nothing ("shape < 0", "math domain error"), or drew a table."""
+        rng = np.random.default_rng(86)
+        state = rng.bit_generator.state
+        args = dict(J=5, n_range=(2, 4), beta=[1.0, -0.5], eta2=0.4, rho=0.2, a=5.0, b=3.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and (nonnegative|positive), got "):
+            generate_table(**args, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_truth_record_is_complete(self):
         rng = np.random.default_rng(85)
