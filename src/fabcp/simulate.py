@@ -6,7 +6,17 @@ block of ``32 * ceil(m / 32)`` draws, the stride, at offset ``rep * stride``,
 so the blocks of a cell are disjoint at any sample size. A cell draws its
 ``reps x stride`` uniforms in one call and uses the first ``m`` of each
 row; :func:`replication_stream` replays one row on its own. Normals come
-from the inverse CDF, one uniform per draw.
+from the inverse CDF, one uniform per draw. A seed must lie in
+``[0, 2**64)``, the width of a Philox key word, so no two seeds share a
+stream.
+
+Each experiment is a list of cells and a draw rule, run by one loop; cell
+i draws from stream ``(seed, i)``. Cells run n first, then tau2, then
+theta. ``bayes_risk_ratio`` has (n, tau2) cells, and ``bounds_profile``
+one cell per theta. ``bayes_risk_ratio`` draws ``theta ~ N(mu, tau2)``,
+so it rejects an infinite tau2, which the other experiments take as the
+diffuse prior. The ``fab/dta`` row is NaN when a width is infinite or
+the mean DTA width is zero.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ __all__ = [
 
 _METHODS = ("fab", "dta", "pivot_z", "pivot_t", "eb")
 
-_MASK64 = (1 << 64) - 1
 _U_LO = 2.0**-53
 _U_HI = 1.0 - 2.0**-53
 
@@ -77,6 +86,8 @@ class SimConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")
         if self.population not in ("normal", "mixture"):
             raise ValueError(f"population must be 'normal' or 'mixture', got {self.population!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +162,7 @@ class SimReport:
 
 
 def _philox_key(seed: int, cell: int) -> np.ndarray:
-    return np.array([seed & _MASK64, cell & _MASK64], dtype=np.uint64)
+    return np.array([seed, cell], dtype=np.uint64)
 
 
 def _stride(m: int) -> int:
@@ -267,8 +278,15 @@ def _coverage_stats(hit: np.ndarray) -> tuple[float, float]:
 
 
 def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    """Ratio of mean widths with a delta-method standard error (paired)."""
+    """Ratio of mean widths with a delta-method standard error (paired).
+
+    NaN when a width is infinite or the denominator's mean width is zero.
+    """
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        return math.nan, math.nan
     r_n, r_d = _fmean(num), _fmean(den)
+    if r_d == 0.0:
+        return math.nan, math.nan
     ratio = r_n / r_d
     m = num.size
     resid = num - ratio * den
@@ -279,31 +297,59 @@ def _ratio_stats(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
 # -- experiments -----------------------------------------------------------------
 
 
-def _width_rows(
-    samples: np.ndarray,
-    methods: Sequence[str],
-    alpha: float,
-    mu: float,
-    tau2: float,
-    base: SimRow,
-) -> list[SimRow]:
-    """Width rows per method plus a fab/dta ratio row when both are present."""
-    widths: dict[str, np.ndarray] = {}
-    rows = []
-    for method in methods:
-        bounds = _method_bounds(method, samples, alpha, mu, tau2)
-        w = bounds[:, 1] - bounds[:, 0]
-        widths[method] = w
-        mean, se, n_inf = _width_stats(w)
-        rows.append(replace(base, method=method, mean_width=mean, width_se=se, inf_width_count=n_inf))
-    if "fab" in widths and "dta" in widths:
-        w_f, w_d = widths["fab"], widths["dta"]
-        if np.all(np.isfinite(w_f)) and np.all(np.isfinite(w_d)):
-            ratio, se = _ratio_stats(w_f, w_d)
-        else:
-            ratio, se = math.nan, math.nan
-        rows.append(replace(base, method="fab/dta", mean_width=ratio, width_se=se))
-    return rows
+def _sweep(
+    config: SimConfig,
+    cells: Sequence[tuple[int, float, float]],
+    extra: int,
+    draw,
+    *,
+    ratio: bool = False,
+    endpoints: bool = False,
+) -> SimReport:
+    """One row per method at each (n, tau2, theta) cell, then the fab/dta row if ``ratio``.
+
+    Cell i takes ``n + extra`` uniforms per replication from stream
+    ``(seed, i)``; ``draw(config, u, tau2, theta)`` turns them into one row
+    of draws per replication. A draw past the first n is the next
+    observation, and the rows then carry coverage. ``endpoints`` adds the
+    mean interval endpoints.
+    """
+    rows: list[SimRow] = []
+    for cell, (n, tau2, theta) in enumerate(cells):
+        u = _cell_uniforms(config.seed, cell, config.replications, n + extra)
+        draws = draw(config, u, tau2, theta)
+        samples, y_next = draws[:, :n], (draws[:, n] if draws.shape[1] > n else None)
+        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
+        widths: dict[str, np.ndarray] = {}
+        for method in config.methods:
+            lower, upper = _method_bounds(method, samples, config.alpha, config.mu, tau2).T
+            widths[method] = upper - lower
+            mean, se, n_inf = _width_stats(widths[method])
+            stats = dict(mean_width=mean, width_se=se, inf_width_count=n_inf)
+            if y_next is not None:
+                hit = (lower <= y_next) & (y_next <= upper)
+                stats["coverage"], stats["coverage_se"] = _coverage_stats(hit)
+            if endpoints:
+                stats["mean_lower"], stats["mean_upper"] = _fmean(lower), _fmean(upper)
+            rows.append(replace(base, method=method, **stats))
+        if ratio and "fab" in widths and "dta" in widths:
+            r, se = _ratio_stats(widths["fab"], widths["dta"])
+            rows.append(replace(base, method="fab/dta", mean_width=r, width_se=se))
+    return SimReport(rows=tuple(rows))
+
+
+def _grid(config: SimConfig) -> list[tuple[int, float, float]]:
+    return [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
+
+
+def _population_draws(config: SimConfig, u: np.ndarray, tau2: float, theta: float) -> np.ndarray:
+    return _transform(config.population, theta, u)
+
+
+def _linked_draws(config: SimConfig, u: np.ndarray, tau2: float, theta: float) -> np.ndarray:
+    """theta ~ N(mu, tau2) per replication, in place of the cell's, then y | theta ~ N(theta, 1)."""
+    drawn = config.mu + math.sqrt(tau2) * _normals(u[:, 0])
+    return drawn[:, None] + _normals(u[:, 1:])
 
 
 def expected_width(config: SimConfig) -> SimReport:
@@ -314,14 +360,7 @@ def expected_width(config: SimConfig) -> SimReport:
     methods run, a ``fab/dta`` ratio row carries the paired width ratio and
     its delta-method standard error.
     """
-    rows: list[SimRow] = []
-    cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
-    for cell, (n, tau2, theta) in enumerate(cells):
-        u = _cell_uniforms(config.seed, cell, config.replications, n)
-        samples = _transform(config.population, theta, u)
-        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
-        rows.extend(_width_rows(samples, config.methods, config.alpha, config.mu, tau2, base))
-    return SimReport(rows=tuple(rows))
+    return _sweep(config, _grid(config), 0, _population_draws, ratio=True)
 
 
 def bayes_risk_ratio(
@@ -337,38 +376,20 @@ def bayes_risk_ratio(
     Each replication draws ``theta ~ N(mu, tau2)`` and then the sample
     ``y | theta ~ N(theta, 1)``; the FAB interval uses the same (mu, tau2)
     as its working-model prior. The resulting Bayes risk ratio does not
-    depend on mu. The arguments follow :class:`SimConfig`'s rules.
+    depend on mu. The arguments follow :class:`SimConfig`'s rules, and
+    every tau2 must also be finite.
     """
-    SimConfig(n_list=tuple(n_list), alpha=alpha, mu=mu, tau2_list=tuple(tau2_grid),
-              replications=replications, seed=seed)
-    rows: list[SimRow] = []
-    cells = [(n, t2) for n in n_list for t2 in tau2_grid]
-    for cell, (n, tau2) in enumerate(cells):
-        u = _cell_uniforms(seed, cell, replications, n + 1)
-        theta = mu + math.sqrt(tau2) * _normals(u[:, 0])
-        samples = theta[:, None] + _normals(u[:, 1:])
-        base = SimRow(method="", n=n, theta_minus_mu=math.nan, tau2=tau2, seed=seed)
-        rows.extend(_width_rows(samples, ("fab", "dta"), alpha, mu, tau2, base))
-    return SimReport(rows=tuple(rows))
+    config = SimConfig(methods=("fab", "dta"), n_list=tuple(n_list), alpha=alpha, mu=mu,
+                       tau2_list=tuple(tau2_grid), replications=replications, seed=seed)
+    if not all(math.isfinite(t) for t in config.tau2_list):
+        raise ValueError("tau2 values must be finite to draw theta ~ N(mu, tau2)")
+    cells = [(n, t2, math.nan) for n in config.n_list for t2 in config.tau2_list]
+    return _sweep(config, cells, 1, _linked_draws, ratio=True)
 
 
 def coverage_experiment(config: SimConfig) -> SimReport:
     """Empirical coverage of each method, next observation from the same population."""
-    rows: list[SimRow] = []
-    cells = [(n, t2, th) for n in config.n_list for t2 in config.tau2_list for th in config.theta_grid]
-    for cell, (n, tau2, theta) in enumerate(cells):
-        u = _cell_uniforms(config.seed, cell, config.replications, n + 1)
-        draws = _transform(config.population, theta, u)
-        samples, y_next = draws[:, :n], draws[:, n]
-        base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
-        for method in config.methods:
-            bounds = _method_bounds(method, samples, config.alpha, config.mu, tau2)
-            hit = (bounds[:, 0] <= y_next) & (y_next <= bounds[:, 1])
-            cov, cov_se = _coverage_stats(hit)
-            mean, se, n_inf = _width_stats(bounds[:, 1] - bounds[:, 0])
-            rows.append(replace(base, method=method, mean_width=mean, width_se=se,
-                                coverage=cov, coverage_se=cov_se, inf_width_count=n_inf))
-    return SimReport(rows=tuple(rows))
+    return _sweep(config, _grid(config), 1, _population_draws)
 
 
 def bounds_profile(
@@ -381,18 +402,7 @@ def bounds_profile(
     seed: int,
 ) -> SimReport:
     """Monte Carlo mean interval endpoints of FAB and DTA across theta, by SimConfig's rules."""
-    SimConfig(n_list=(n,), alpha=alpha, theta_grid=tuple(theta_grid), mu=mu, tau2_list=(tau2,),
-              replications=replications, seed=seed)
-    rows: list[SimRow] = []
-    for cell, theta in enumerate(theta_grid):
-        u = _cell_uniforms(seed, cell, replications, n)
-        samples = _transform("normal", theta, u)
-        base = SimRow(method="", n=n, theta_minus_mu=theta - mu, tau2=tau2, seed=seed)
-        for method in ("fab", "dta"):
-            bounds = _method_bounds(method, samples, alpha, mu, tau2)
-            mean, se, n_inf = _width_stats(bounds[:, 1] - bounds[:, 0])
-            rows.append(replace(base, method=method, mean_width=mean, width_se=se,
-                                inf_width_count=n_inf,
-                                mean_lower=_fmean(bounds[:, 0]),
-                                mean_upper=_fmean(bounds[:, 1])))
-    return SimReport(rows=tuple(rows))
+    config = SimConfig(methods=("fab", "dta"), n_list=(n,), alpha=alpha,
+                       theta_grid=tuple(theta_grid), mu=mu, tau2_list=(tau2,),
+                       replications=replications, seed=seed)
+    return _sweep(config, _grid(config), 0, _population_draws, endpoints=True)

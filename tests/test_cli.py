@@ -398,6 +398,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("experiment, flag, value, message", [
         ("coverage", "--mu", "nan", "mu must be finite"),
         ("expected-width", "--theta-grid", "inf", "theta_grid values must be finite"),
+        ("bayes-risk", "--tau2-list", "inf", "tau2 values must be finite to draw theta ~ N(mu, tau2)"),
     ])
     def test_non_finite_setting_is_one_error_line(self, tmp_path, capsys, experiment, flag, value, message):
         """These exited 0 with infinite or NaN widths."""
@@ -408,6 +409,30 @@ class TestSimulateCommand:
         )
         assert (code, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_one_error_line(self, tmp_path, capsys, seed):
+        """These ran, each with the stream of another seed."""
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", "coverage", f"--seed={seed}",
+            "--replications", "50", "--output", str(out),
+        )
+        assert (code, stdout, err) == (1, "", f"error: seed must lie in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+
+    def test_zero_dta_mean_width_writes_nan_ratio(self, tmp_path, capsys):
+        """This exited 1 with a ZeroDivisionError traceback and no report."""
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--experiment", "expected-width", "--population", "mixture",
+            "--n-list", "2", "--alpha", "0.4", "--replications", "1", "--seed", "0",
+            "--output", str(out),
+        )
+        assert (code, err) == (0, "")
+        with open(out, newline="") as fh:
+            ratio = [r for r in csv.DictReader(fh) if r["method"] == "fab/dta"]
+        assert [(r["mean_width"], r["width_se"]) for r in ratio] == [("nan", "nan")]
 
     def test_settings_table_covers_sim_config(self):
         assert list(cli._SIM_FIELDS) == [f.name for f in dataclasses.fields(cli.simulate.SimConfig)]

@@ -131,6 +131,7 @@ class TestExpectedWidth:
         assert rep1 == rep2
         # 2 n x 2 theta cells x (fab, dta, ratio)
         assert len(rep1.rows) == 12
+        assert all(math.isnan(r.mean_lower) and math.isnan(r.mean_upper) for r in rep1.rows)
 
     def test_k_zero_cell_reports_infinite_width(self):
         config = SimConfig(methods=("fab", "dta"), n_list=(3,), alpha=0.1,
@@ -139,6 +140,17 @@ class TestExpectedWidth:
         row = rep.find("fab", n=3, theta_minus_mu=0.0, tau2=0.5)
         assert math.isinf(row.mean_width)
         assert row.inf_width_count == 200
+        ratio = rep.find("fab/dta", n=3, theta_minus_mu=0.0, tau2=0.5)
+        assert math.isnan(ratio.mean_width) and math.isnan(ratio.width_se)
+
+    def test_zero_dta_mean_width_gives_nan_ratio(self):
+        """Both mixture draws on one atom give zero widths; the ratio raised ZeroDivisionError."""
+        config = SimConfig(methods=("fab", "dta"), n_list=(2,), alpha=0.4, replications=1,
+                           seed=0, population="mixture")
+        rep = expected_width(config)
+        assert rep.find("dta", n=2).mean_width == 0.0
+        ratio = rep.find("fab/dta", n=2)
+        assert math.isnan(ratio.mean_width) and math.isnan(ratio.width_se)
 
     def test_ratio_approaches_one_as_n_grows(self):
         config = SimConfig(methods=("fab", "dta"), n_list=(3, 7, 11, 15, 19), alpha=0.25,
@@ -156,7 +168,9 @@ class TestExpectedWidth:
                          tau2_list=(0.5,), replications=4000, seed=7)
         big = SimConfig(methods=("dta",), n_list=(3,), alpha=0.25, theta_grid=(0.0,),
                         tau2_list=(0.5,), replications=16000, seed=7)
-        se_small = expected_width(base).rows[0].width_se
+        rows = expected_width(base).rows
+        assert [r.method for r in rows] == ["dta"]  # no fab/dta row without fab
+        se_small = rows[0].width_se
         se_big = expected_width(big).rows[0].width_se
         assert se_small / se_big == pytest.approx(2.0, rel=0.2)
 
@@ -171,6 +185,7 @@ class TestBayesRiskRatio:
         rep = bayes_risk_ratio((3,), (0.5,), 0.25, 25_000, seed=91)
         row = rep.find("fab/dta", n=3, tau2=0.5)
         assert row.mean_width + 3 * row.width_se < 1.0
+        assert all(math.isnan(r.mean_lower) and math.isnan(r.mean_upper) for r in rep.rows)
 
 
 class TestCoverageExperiment:
@@ -181,6 +196,8 @@ class TestCoverageExperiment:
         for method in ("fab", "dta"):
             row = rep.find(method, n=3, theta_minus_mu=0.0)
             assert row.coverage == pytest.approx(0.75, abs=5 * row.coverage_se)
+        assert [r.method for r in rep.rows] == ["fab", "dta"]  # no fab/dta row
+        assert all(math.isnan(r.mean_lower) and math.isnan(r.mean_upper) for r in rep.rows)
 
     def test_eb_coverage_declines_with_prior_error(self):
         config = SimConfig(methods=("eb",), n_list=(3,), alpha=0.25,
@@ -206,6 +223,8 @@ class TestBoundsProfile:
     def test_profile_geometry(self):
         rep = bounds_profile((-1.5, 0.0, 1.5), n=3, mu=0.0, tau2=0.5,
                              alpha=0.25, replications=4000, seed=91)
+        assert [r.method for r in rep.rows] == ["fab", "dta"] * 3  # no fab/dta row
+        assert all(math.isfinite(r.mean_lower) and math.isfinite(r.mean_upper) for r in rep.rows)
         for theta in (-1.5, 0.0, 1.5):
             dta = rep.find("dta", theta_minus_mu=theta)
             mid_dta = 0.5 * (dta.mean_lower + dta.mean_upper)
@@ -226,6 +245,7 @@ class TestReportSerialization:
         config = SimConfig(methods=("fab",), n_list=(3,), alpha=0.1,
                            theta_grid=(0.0,), tau2_list=(0.5,), replications=50, seed=11)
         rep = expected_width(config)
+        assert [r.method for r in rep.rows] == ["fab"]  # no fab/dta row without dta
         out = tmp_path / "report.csv"
         rep.to_csv(str(out))
         lines = out.read_text().splitlines()
@@ -261,6 +281,10 @@ class TestConfigValidation:
             SimConfig(methods=("fab", "bootstrap"))
         with pytest.raises(ValueError):
             SimConfig(population="levy")
+        # Philox key words are 64 bits: 2**64 would share seed 0's stream, -1 seed 2**64 - 1's.
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+                SimConfig(seed=seed)
 
     def test_sample_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
@@ -291,6 +315,8 @@ _RULES = [
     ("tau2", -1.0, "tau2 values must be positive"),
     ("n", 0, "sample size must be at least 1"),
 ]
+# Appended after each test's own cases, so the index-based ids of those stay put.
+_SEED_RULES = [("seed", -1, "seed must lie in"), ("seed", 2**64, "seed must lie in")]
 
 
 class TestSweepArguments:
@@ -307,7 +333,8 @@ class TestSweepArguments:
         ("n_list", (), "n_list must not be empty"),
         ("tau2_grid", (), "tau2_list must not be empty"),
         ("mu", math.nan, "mu must be finite"),
-    ])
+        ("tau2", math.inf, "tau2 values must be finite"),
+    ] + _SEED_RULES)
     def test_bayes_risk_ratio(self, draws, name, value, message):
         args = dict(n_list=(3,), tau2_grid=(0.5,), alpha=0.25, replications=50, seed=1)
         lists = {"n": "n_list", "tau2": "tau2_grid"}  # scalar rules apply to each list entry
@@ -320,7 +347,7 @@ class TestSweepArguments:
         ("theta_grid", (), "theta_grid must not be empty"),
         ("mu", math.inf, "mu must be finite"),
         ("theta_grid", (0.0, math.nan), "theta_grid values must be finite"),
-    ])
+    ] + _SEED_RULES)
     def test_bounds_profile(self, draws, name, value, message):
         args = dict(theta_grid=(0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25, replications=50, seed=1)
         args[name] = value
