@@ -5,7 +5,7 @@ or an output path that cannot be written, counts as one), 2 malformed
 input data, such as a non-numeric or non-finite field (reported with a
 line number) or an input with no data rows, 3 rank-deficient covariate
 matrix. Every error is one ``error:`` line on stderr, and a failed run
-leaves the output path as it was. Rows whose fields are all blank
+leaves its output paths as they were. Rows whose fields are all blank
 are skipped in every input CSV. ``simulate --experiment bounds`` takes
 exactly one n and one tau2.
 """
@@ -140,11 +140,14 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
         "expected header area_id,cx,cy[,cov1,...]",
     )
     nums = np.array([[_finite(areas_path, line_no, v) for v in row[1:]] for line_no, row in rows])
-    ids = [row[0].strip() for _, row in rows]
-    if len(ids) != len(set(ids)):
-        raise CSVFormatError(areas_path, 1, "duplicate area ids")
+    index: dict[str, int] = {}
+    for line_no, row in rows:
+        area_id = row[0].strip()
+        if area_id in index:
+            raise CSVFormatError(areas_path, line_no, f"duplicate area id {area_id!r}")
+        index[area_id] = len(index)
+    ids = list(index)
 
-    index = {area_id: j for j, area_id in enumerate(ids)}
     samples: list[list[float]] = [[] for _ in ids]
     rows = _data_rows(samples_path, lambda h: h == ["area_id", "value"], "expected header area_id,value")
     for line_no, (area_id, value) in rows:
@@ -176,6 +179,8 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
 def _cmd_predict(args: argparse.Namespace) -> int:
     sample = load_value_csv(args.input)
     precision = args.precision
+    if precision is not None and args.tau2 is not None:
+        raise ValueError("--tau2 and --precision cannot both be given")
     if precision is not None:
         if precision < 0:
             raise ValueError("--precision must be nonnegative")
@@ -305,6 +310,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
+    for path in paths:
+        _check_output(path)  # one unwritable path fails the run before any file is written
+    areas_path, samples_path, truth_path = paths
     rng = np.random.default_rng(args.seed)
     beta = _split(float)(args.beta)
     table, truth = generate_table(
@@ -317,21 +326,20 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         b=args.b,
         rng=rng,
     )
-    prefix = args.out_prefix
-    with _open_output(f"{prefix}_areas.csv") as fh:
+    with _open_output(areas_path) as fh:
         fh.write("area_id,cx,cy,cov1\n")
         for j, area_id in enumerate(table.ids):
             fh.write(
                 f"{area_id},{_fmt(table.centroids[j, 0])},{_fmt(table.centroids[j, 1])},"
                 f"{_fmt(table.X[j, 1])}\n"
             )
-    with _open_output(f"{prefix}_samples.csv") as fh:
+    with _open_output(samples_path) as fh:
         fh.write("area_id,value\n")
         for j, area_id in enumerate(table.ids):
             for v in table.samples[j]:
                 fh.write(f"{area_id},{_fmt(float(v))}\n")
     truth["seed"] = args.seed
-    with _open_output(f"{prefix}_truth.json") as fh:
+    with _open_output(truth_path) as fh:
         json.dump(truth, fh, indent=2)
         fh.write("\n")
     return 0

@@ -251,12 +251,17 @@ def sar_covariance(rho: float, W: np.ndarray) -> np.ndarray:
 # -- variance hyperparameters --------------------------------------------------
 
 
-def _split_s2(s2_list: Sequence[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [(float(s2), int(n)) for s2, n in s2_list if int(n) >= 2]
-    if len(pairs) < 2:
+def _pair_arrays(s2_list: Sequence[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(s2, n)`` pairs as two arrays."""
+    return np.array([float(p[0]) for p in s2_list]), np.array([int(p[1]) for p in s2_list])
+
+
+def _split_s2(s2: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The areas with ``n >= 2`` of one (a, b) problem; raises if they cannot be fitted."""
+    keep = n >= 2
+    if np.count_nonzero(keep) < 2:
         raise ValueError("need at least two areas with n >= 2")
-    s2 = np.array([p[0] for p in pairs])
-    n = np.array([p[1] for p in pairs])
+    s2, n = s2[keep], n[keep]
     if np.any(s2 < 0.0) or not np.all(np.isfinite(s2)):
         raise ValueError("sums of squares must be finite and nonnegative")
     return s2, n
@@ -277,7 +282,7 @@ def ab_marginal_loglik(a: float, b: float, s2_list: Sequence[tuple[float, int]])
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
-    s2, n = _split_s2(s2_list)
+    s2, n = _split_s2(*_pair_arrays(s2_list))
     return float(_ab_loglik(np.array([a]), np.array([b]), s2[None], (n[None] - 1.0) / 2.0)[0])
 
 
@@ -333,10 +338,12 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Every row takes the steps of scipy 1.17's ``minimize(method=
     "Nelder-Mead")`` with ``xatol`` 1e-9, ``fatol`` 1e-11, ``maxiter`` 2000
-    and ``maxfev`` 4000, in the same arithmetic: its initial simplex, its
-    per-row ``argsort`` of the vertex values, and its evaluation budget,
-    which can run out in the middle of an iteration. So each row ends on
-    scipy's vertex, bit for bit.
+    and ``maxfev`` 4000, in the same arithmetic: its initial simplex and its
+    per-row ``argsort`` of the vertex values. A row that converges or
+    reaches the iteration limit ends on scipy's vertex and evaluation
+    count, bit for bit. A row whose budget runs out finishes its iteration,
+    where scipy stops at once: it ends with scipy's status, at most N + 1
+    evaluations over budget, on a vertex no worse than scipy's.
 
     Returns the best vertex of each row, its status (0 converged, 1
     evaluation budget spent, 2 iteration limit) and its evaluation count.
@@ -350,11 +357,10 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     fsim = f(sim.reshape(-1, N), np.repeat(rows, N + 1)).reshape(R, N + 1)
     # scipy sorts the initial simplex twice.
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
-    left = np.full(R, _NM_MAXFEV - (N + 1))  # evaluations left
-    nit = np.ones(R, dtype=int)
-    vertex = np.arange(N)
+    calls = np.full(R, N + 1)
+    nit = 1
     while rows.size:
-        spent, capped = left <= 0, nit >= _NM_MAXITER
+        spent, capped = calls >= _NM_MAXFEV, nit >= _NM_MAXITER
         stop = spent | capped | (
             (np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= _NM_XATOL)
             & (np.maximum.reduce(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _NM_FATOL)
@@ -362,10 +368,10 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         if stop.any():
             done = rows[stop]
             best[done] = sim[stop, 0]
-            status[done] = np.where(spent[stop], 1, np.where(capped[stop], 2, 0))
-            nfev[done] = _NM_MAXFEV - left[stop]
+            status[done] = np.where(spent[stop], 1, np.where(capped, 2, 0))
+            nfev[done] = calls[stop]
             go = ~stop
-            rows, sim, fsim, left, nit = rows[go], sim[go], fsim[go], left[go], nit[go]
+            rows, sim, fsim, calls = rows[go], sim[go], fsim[go], calls[go]
             if not rows.size:
                 break
 
@@ -373,13 +379,11 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         worst = sim[:, -1]
         xr = 2 * xbar - worst
         fxr = f(xr, rows)
-        left -= 1
 
         expand = fxr < fsim[:, 0]
         take_r = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~take_r & (fxr < fsim[:, -1])
-        # A row whose budget is spent stops here, where scipy's call raises.
-        second = ~take_r & (left > 0)
+        second = ~take_r
         x2 = np.where(
             expand[:, None],
             3 * xbar - 2 * worst,
@@ -388,27 +392,21 @@ def _nelder_mead(f, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         f2 = np.full(rows.size, np.nan)
         if second.any():
             f2[second] = f(x2[second], rows[second])
-            left -= second
+        calls += 1 + second
 
-        use_r = take_r | (second & expand & ~(f2 < fxr))
+        use_r = take_r | (expand & ~(f2 < fxr))
         use_2 = second & np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
         sim[:, -1] = np.where(use_r[:, None], xr, np.where(use_2[:, None], x2, worst))
         fsim[:, -1] = np.where(use_r, fxr, np.where(use_2, f2, fsim[:, -1]))
-        completed = take_r | use_r | use_2  # iterations the budget did not cut short
 
-        shrink = np.flatnonzero(second & ~completed)
+        shrink = np.flatnonzero(~(use_r | use_2))
         if shrink.size:
-            # Vertices are evaluated only while budget is left. A vertex
-            # left unevaluated keeps its old value and its row stops, so
-            # where that vertex moved to is never read.
-            budget = left[shrink, None]
             low = sim[shrink, :1]
             sim[shrink, 1:] = low + 0.5 * (sim[shrink, 1:] - low)
-            i, j = np.nonzero(budget > vertex)
-            fsim[shrink[i], j + 1] = f(sim[shrink[i], j + 1], rows[shrink[i]])
-            left[shrink] -= np.minimum(budget[:, 0], N)
-            completed[shrink] = budget[:, 0] >= N
-        nit += completed
+            points = sim[shrink, 1:].reshape(-1, N)
+            fsim[shrink, 1:] = f(points, np.repeat(rows[shrink], N)).reshape(-1, N)
+            calls[shrink] += N
+        nit += 1
         sim, fsim = _sort_simplex(sim, fsim)
     return best, status, nfev
 
@@ -471,7 +469,7 @@ def estimate_ab(s2_list: Sequence[tuple[float, int]]) -> tuple[float, float]:
     moments values (see :func:`_fit_ab`). Raises :class:`EstimationError`
     with the best point found if the simplex fails to converge.
     """
-    s2, n = _split_s2(s2_list)
+    s2, n = _split_s2(*_pair_arrays(s2_list))
     (fit,) = _fit_ab(s2[None], n[None])
     if isinstance(fit, EstimationError):
         raise fit
@@ -483,29 +481,27 @@ def _loo_ab_fits(
 ) -> dict[int, tuple[float, float] | Exception]:
     """The leave-one-out (a, b) fits of ``areas`` (default: every area with ``n_j >= 2``).
 
-    Area j's row holds the sums of squares of every other area with
-    ``n >= 2``, in table order: the problem :func:`estimate_ab` solves for
-    it, solved in the same arithmetic. Rows of equal length share one
+    Area j's problem is every other area's sum of squares, in table order,
+    checked and solved as :func:`estimate_ab` does it; an area maps to the
+    error ``estimate_ab`` raises for it. Rows of equal length share one
     lockstep search; rows do not interact, so a row's fit does not depend
-    on which other areas are passed. An area whose fit fails maps to the
-    error ``estimate_ab`` raises for it.
+    on which other areas are passed.
     """
-    informative = np.flatnonzero(table.n >= 2)
     if areas is None:
-        areas = informative.tolist()
+        areas = np.flatnonzero(table.n >= 2).tolist()
     fits: dict[int, tuple[float, float] | Exception] = {}
-    searches: dict[int, list[tuple[int, np.ndarray]]] = {}  # by row length
+    searches: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}  # by row length
     for j in areas:
-        rest = informative[informative != j]
-        if rest.size < 2:
-            fits[j] = ValueError("need at least two areas with n >= 2")
-        elif not np.all(np.isfinite(table.s2[rest]) & (table.s2[rest] >= 0.0)):
-            fits[j] = ValueError("sums of squares must be finite and nonnegative")
+        others = np.arange(table.J) != j
+        try:
+            s2, n = _split_s2(table.s2[others], table.n[others])
+        except ValueError as exc:
+            fits[j] = exc
         else:
-            searches.setdefault(rest.size, []).append((j, rest))
+            searches.setdefault(n.size, []).append((j, s2, n))
     for rows in searches.values():
-        rest = np.array([r for _, r in rows])
-        fits.update(zip([j for j, _ in rows], _fit_ab(table.s2[rest], table.n[rest])))
+        js, s2, n = zip(*rows)
+        fits.update(zip(js, _fit_ab(np.array(s2), np.array(n))))
     return fits
 
 
@@ -522,8 +518,7 @@ def eb_variances(
     """
     if a_hat <= 0.0 or b_hat <= 0.0:
         raise ValueError("a_hat and b_hat must be positive")
-    s2 = np.array([float(p[0]) for p in s2_list])
-    n = np.array([int(p[1]) for p in s2_list])
+    s2, n = _pair_arrays(s2_list)
     sigma2_k = (b_hat + s2) / (a_hat + n + 1.0)
     sigma2_heldout = b_hat / (a_hat + 2.0)
     return sigma2_k, float(sigma2_heldout)
@@ -898,7 +893,7 @@ def _send_priors(conn, table: AreaTable, areas: list[int]) -> None:
     for result in errors.values():
         # A traceback does not pickle; the worker's frames travel as a note.
         frames = "".join(traceback.format_exception(type(result), result, result.__traceback__))
-        result.__notes__ = [*getattr(result, "__notes__", ()), f"In a worker process:\n{frames}"]
+        result.add_note(f"In a worker process:\n{frames}")
     conn.send(priors)
     conn.close()
 

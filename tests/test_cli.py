@@ -130,6 +130,17 @@ class TestPredict:
         assert out == ""
         assert "mu must be finite" in err
 
+    @pytest.mark.parametrize("method", ["fab", "dta"])
+    def test_tau2_with_precision_is_one_error_line(self, tmp_path, capsys, method):
+        """The run used to exit 0 with the --precision prior, ignoring --tau2."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--tau2", "0.5", "--precision", "100",
+            "--alpha", "0.25", "--method", method,
+        )
+        assert (code, out, err) == (1, "", "error: --tau2 and --precision cannot both be given\n")
+
     def test_invalid_flag_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0])
@@ -176,6 +187,14 @@ class TestGenData:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {flag[2:]} must be finite and ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_path_writes_no_file(self, tmp_path, capsys):
+        """The areas and samples files used to be written before the truth path failed."""
+        (tmp_path / "p_truth.json").mkdir()
+        code, out, err = run_cli(capsys, "gen-data", "--J", "5", "--out-prefix", str(tmp_path / "p"))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path / 'p_truth.json'}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "p_truth.json"]
 
     def test_rho_zero_gives_uncorrelated_neighbors(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -239,6 +258,14 @@ class TestSmallArea:
         )
         assert code == 2
         assert "ghost" in err
+
+    def test_duplicate_area_id_names_its_line(self, tmp_path, capsys):
+        """The error used to name line 1 and no id."""
+        areas, samples = tmp_path / "areas.csv", tmp_path / "samples.csv"
+        areas.write_text("area_id,cx,cy\na,0,0\nb,1,0\na,0,1\n")
+        samples.write_text("area_id,value\na,1.0\na,2.0\nb,3.0\nb,4.0\n")
+        code, out, err = run_cli(capsys, "small-area", "--areas", str(areas), "--samples", str(samples))
+        assert (code, out, err) == (2, "", f"error: {areas}:4: duplicate area id 'a'\n")
 
     @pytest.mark.parametrize("which, line, field, value", [
         ("areas", 3, 1, "nan"),  # a centroid

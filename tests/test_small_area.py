@@ -227,11 +227,18 @@ class TestLockstepNelderMead:
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_OBJECTIVES))
     def test_every_stopping_point_matches_scipy(self, monkeypatch, name):
-        """Small budgets and iteration limits stop the search at each step of an iteration."""
+        """Small budgets and iteration limits stop the search at each step of an iteration.
+
+        Every status is scipy's, and so are the point and evaluation count of
+        every row that converges or reaches the iteration limit. A row whose
+        budget runs out finishes its iteration, where scipy stops at once: it
+        overruns by at most N + 1 evaluations and ends no worse than scipy.
+        """
         from scipy.optimize import minimize
 
         fun = _KERNEL_OBJECTIVES[name]
         x0 = np.array([[-1.2, 1.0], [0.0, 0.0], [3.0, -2.0], [0.5, 0.25], [0.1, -0.3], [-2.0, 0.7]])
+        N = x0.shape[1]
         limits = [(maxfev, 2000) for maxfev in range(3, 150)] + [(4000, it) for it in range(1, 40)]
         for maxfev, maxiter in limits:
             monkeypatch.setattr(small_area, "_NM_MAXFEV", maxfev)
@@ -241,8 +248,13 @@ class TestLockstepNelderMead:
                 res = minimize(fun, start, method="Nelder-Mead", options={
                     "xatol": 1e-9, "fatol": 1e-11, "maxiter": maxiter, "maxfev": maxfev})
                 case = (maxfev, maxiter, r)
-                assert [v.hex() for v in best[r]] == [v.hex() for v in res.x], case
-                assert (int(status[r]), int(nfev[r])) == (res.status, res.nfev), case
+                assert int(status[r]) == res.status, case
+                if res.status == 1:
+                    assert maxfev <= nfev[r] <= maxfev + N + 1, case
+                    assert fun(best[r]) <= res.fun, case
+                else:
+                    assert [v.hex() for v in best[r]] == [v.hex() for v in res.x], case
+                    assert int(nfev[r]) == res.nfev, case
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_TABLES))
     def test_every_loo_problem_matches_scipy(self, monkeypatch, name):
@@ -267,7 +279,12 @@ class TestLockstepNelderMead:
             else:
                 assert isinstance(fit, EstimationError) and str(fit).endswith(message)
                 assert [v.hex() for v in fit.best_point] == [a.hex(), b.hex()], table.ids[j]
-            assert (status[r] == 0, int(nfev[r])) == (success, scipy_nfev), table.ids[j]
+            assert (status[r] == 0) == success, table.ids[j]
+            if status[r] == 1:
+                # A search out of budget finishes its iteration (N = 2).
+                assert 4000 <= nfev[r] <= 4000 + 3, table.ids[j]
+            else:
+                assert int(nfev[r]) == scipy_nfev, table.ids[j]
 
     @pytest.mark.parametrize("beta, stalled", [
         ([1.0, 1.0], ["area007"]),
