@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 invalid flags (an input path that cannot be read,
 or an output path that cannot be written, counts as one), 2 malformed
 input data, such as a non-numeric or non-finite field (reported with a
-line number) or an input with no data rows, 3 rank-deficient covariate
-matrix. Every error is one ``error:`` line on stderr, and a failed run
-leaves its output paths as they were. Rows whose fields are all blank
-are skipped in every input CSV. ``simulate --experiment bounds`` takes
-exactly one n and one tau2.
+line number), an input with no data rows, or finite sample values whose
+sum overflows (two values of 1e308 in one sample), 3 rank-deficient
+covariate matrix. Every error is one ``error:`` line on stderr, and a
+failed run leaves its output paths as they were. Rows whose fields are
+all blank are skipped in every input CSV. ``simulate --experiment
+bounds`` takes exactly one n and one tau2.
 """
 
 from __future__ import annotations
@@ -401,6 +402,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CSVFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_DATA
+    except OverflowError as exc:
+        # Finite sample values whose sum leaves the double range, such as two of 1e308.
+        print(f"error: input values overflow double precision ({exc})", file=sys.stderr)
         return EXIT_BAD_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -181,9 +181,6 @@ class GridRegion:
     accepted: np.ndarray
     intervals: list[tuple[float, float]] = field(default_factory=list)
 
-    def points(self) -> np.ndarray:
-        return self.grid_lo + self.resolution * np.arange(self.accepted.size)
-
 
 def step_profile(
     sample: Sequence[float] | np.ndarray,

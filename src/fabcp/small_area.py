@@ -33,6 +33,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd
 from scipy.special import gammaln
@@ -101,6 +102,8 @@ class AreaTable:
         J = len(self.ids)
         if J < 2:
             raise ValueError("need at least two areas")
+        if len(set(self.ids)) != J:
+            raise ValueError("area ids must be distinct")
         if self.X.ndim != 2:
             raise ValueError("X must be a (J, p) matrix")
         if self.centroids.ndim != 2 or self.centroids.shape[1] != 2:
@@ -251,13 +254,11 @@ def sar_covariance(rho: float, W: np.ndarray) -> np.ndarray:
 # -- variance hyperparameters --------------------------------------------------
 
 
-def _pair_arrays(s2_list: Sequence[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(s2, n)`` pairs as two arrays."""
-    return np.array([float(p[0]) for p in s2_list]), np.array([int(p[1]) for p in s2_list])
-
-
-def _split_s2(s2: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The areas with ``n >= 2`` of one (a, b) problem; raises if they cannot be fitted."""
+def _split_s2(s2: ArrayLike, n: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """The areas with ``n >= 2`` of one (a, b) problem, as arrays; raises if they cannot be fitted."""
+    s2, n = np.asarray(s2, dtype=float), np.asarray(n)
+    if s2.shape != n.shape:
+        raise ValueError("s2 and n must have the same shape")
     keep = n >= 2
     if np.count_nonzero(keep) < 2:
         raise ValueError("need at least two areas with n >= 2")
@@ -267,8 +268,8 @@ def _split_s2(s2: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s2, n
 
 
-def ab_marginal_loglik(a: float, b: float, s2_list: Sequence[tuple[float, int]]) -> float:
-    """Log marginal likelihood of the within-area sums of squares.
+def ab_marginal_loglik(a: float, b: float, s2: ArrayLike, n: ArrayLike) -> float:
+    """Log marginal likelihood of the within-area sums of squares ``s2`` of areas of sizes ``n``.
 
     Marginalizing the area variance out of the chi-square law of
     ``S2_k / sigma2_k`` under ``sigma2 ~ InvGamma(a/2, b/2)`` leaves, up
@@ -282,7 +283,7 @@ def ab_marginal_loglik(a: float, b: float, s2_list: Sequence[tuple[float, int]])
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
-    s2, n = _split_s2(*_pair_arrays(s2_list))
+    s2, n = _split_s2(s2, n)
     return float(_ab_loglik(np.array([a]), np.array([b]), s2[None], (n[None] - 1.0) / 2.0)[0])
 
 
@@ -462,14 +463,17 @@ def _fit_ab(s2: np.ndarray, n: np.ndarray) -> list[tuple[float, float] | Estimat
     return out
 
 
-def estimate_ab(s2_list: Sequence[tuple[float, int]]) -> tuple[float, float]:
-    """Maximum-likelihood inverse-gamma hyperparameters from area variances.
+def estimate_ab(s2: ArrayLike, n: ArrayLike) -> tuple[float, float]:
+    """Maximum-likelihood inverse-gamma hyperparameters from area sums of squares.
 
-    Runs a Nelder-Mead search in ``(log a, log b)`` started from method-of-
-    moments values (see :func:`_fit_ab`). Raises :class:`EstimationError`
-    with the best point found if the simplex fails to converge.
+    ``s2`` and ``n`` are 1-D array-likes of the areas' within-area sums of
+    squares and sample sizes. Areas with ``n_k < 2`` have no sum of squares
+    and are left out (see :func:`_split_s2`). Runs a Nelder-Mead search in
+    ``(log a, log b)`` from method-of-moments values (see :func:`_fit_ab`).
+    Raises :class:`EstimationError` with the best point found if the
+    simplex fails to converge.
     """
-    s2, n = _split_s2(*_pair_arrays(s2_list))
+    s2, n = _split_s2(s2, n)
     (fit,) = _fit_ab(s2[None], n[None])
     if isinstance(fit, EstimationError):
         raise fit
@@ -505,21 +509,21 @@ def _loo_ab_fits(
     return fits
 
 
-def eb_variances(
-    a_hat: float,
-    b_hat: float,
-    s2_list: Sequence[tuple[float, int]],
-) -> tuple[np.ndarray, float]:
-    """Empirical-Bayes area variance estimates.
+def eb_variances(a_hat: float, b_hat: float, s2: ArrayLike, n: ArrayLike) -> tuple[np.ndarray, float]:
+    """Empirical-Bayes variance estimates of areas with sums of squares ``s2`` and sizes ``n``.
 
     Observed areas get the posterior mode of ``sigma2_k`` given its sum of
-    squares, ``(b + s2_k) / (a + n_k + 1)``; the held-out area gets the
-    prior mode ``b / (a + 2)``.
+    squares, ``(b + s2_k) / (a + n_k + 1)``. An area with ``n_k < 2`` has
+    no sum of squares, so its estimate is ``b / (a + n_k + 1)`` whatever
+    its ``s2_k`` entry says (NaN in ``AreaTable.s2``). The held-out area
+    gets the prior mode ``b / (a + 2)``.
     """
     if a_hat <= 0.0 or b_hat <= 0.0:
         raise ValueError("a_hat and b_hat must be positive")
-    s2, n = _pair_arrays(s2_list)
-    sigma2_k = (b_hat + s2) / (a_hat + n + 1.0)
+    s2, n = np.asarray(s2, dtype=float), np.asarray(n)
+    if s2.shape != n.shape:
+        raise ValueError("s2 and n must have the same shape")
+    sigma2_k = (b_hat + np.where(n >= 2, s2, 0.0)) / (a_hat + n + 1.0)
     sigma2_heldout = b_hat / (a_hat + 2.0)
     return sigma2_k, float(sigma2_heldout)
 
@@ -834,7 +838,7 @@ def loo_conformal_params(table: AreaTable, j: int) -> AreaConformalParams:
     """
     if not 0 <= j < table.J:
         raise ValueError(f"area index {j} out of range for J={table.J}")
-    ((_, prior),) = _priors(table, [j])
+    prior = _priors(table, [j])[j]
     if isinstance(prior, Exception):
         raise prior
     return prior
@@ -846,18 +850,16 @@ def _prior_given_ab(table: AreaTable, j: int, a_hat: float, b_hat: float) -> Are
     The steps after (a, b): empirical-Bayes variances, the rest-of-map
     weights, the mean model over the other areas, and the conditional prior.
     """
-    rest = [i for i in range(table.J) if i != j]
-    n, s2 = table.n, table.s2
-    all_pairs = [(s2[i] if n[i] >= 2 else 0.0, int(n[i])) for i in rest]
-    sigma2_rest, sigma2_j = eb_variances(a_hat, b_hat, all_pairs)
+    rest = np.arange(table.J) != j
+    sigma2_rest, sigma2_j = eb_variances(a_hat, b_hat, table.s2[rest], table.n[rest])
 
     W_rest = sq_exp_weights(table.centroids[rest])
-    fit = fit_mean_model(table.ybar[rest], sigma2_rest / n[rest], table.X[rest], W_rest)
+    fit = fit_mean_model(table.ybar[rest], sigma2_rest / table.n[rest], table.X[rest], W_rest)
     return conditional_params(j, fit.beta, fit.eta2, fit.rho, fit.theta, table.weights, table.X, sigma2_j)
 
 
-def _priors(table: AreaTable, areas: list[int]) -> list[tuple[int, AreaConformalParams | Exception]]:
-    """``(j, prior)`` for each area of ``areas``, or ``(j, error)`` where its fit raised.
+def _priors(table: AreaTable, areas: list[int]) -> dict[int, AreaConformalParams | Exception]:
+    """``{j: prior}`` over ``areas``, with the error its fit raised as an area's result.
 
     The full-map weights come first, so on a map they reject their
     ``ValueError`` is every area's result and nothing is fitted. Then the
@@ -866,19 +868,16 @@ def _priors(table: AreaTable, areas: list[int]) -> list[tuple[int, AreaConformal
     """
     try:
         table.weights  # the map gate
-        ab_fits = _loo_ab_fits(table, areas)
+        priors = _loo_ab_fits(table, areas)
     except Exception as exc:
-        return [(j, exc) for j in areas]
-    out: list[tuple[int, AreaConformalParams | Exception]] = []
+        return dict.fromkeys(areas, exc)
     for j in areas:
-        prior = ab_fits[j]
-        if not isinstance(prior, Exception):
+        if not isinstance(priors[j], Exception):
             try:
-                prior = _prior_given_ab(table, j, *prior)
+                priors[j] = _prior_given_ab(table, j, *priors[j])
             except Exception as exc:
-                prior = exc
-        out.append((j, prior))
-    return out
+                priors[j] = exc
+    return priors
 
 
 def _send_priors(conn, table: AreaTable, areas: list[int]) -> None:
@@ -889,7 +888,7 @@ def _send_priors(conn, table: AreaTable, areas: list[int]) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     priors = _priors(table, areas)
     # One error may be several areas' result; it gets one note.
-    errors = {id(result): result for _, result in priors if isinstance(result, Exception)}
+    errors = {id(result): result for result in priors.values() if isinstance(result, Exception)}
     for result in errors.values():
         # A traceback does not pickle; the worker's frames travel as a note.
         frames = "".join(traceback.format_exception(type(result), result, result.__traceback__))
@@ -939,7 +938,7 @@ def _shared_priors(table: AreaTable) -> dict[int, AreaConformalParams | Exceptio
                 child.start()
                 send.close()
                 children.append((child, recv))
-        priors = dict(_priors(table, areas[::k]))
+        priors = _priors(table, areas[::k])
         for child, recv in children:
             try:
                 priors.update(recv.recv())

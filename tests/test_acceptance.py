@@ -305,35 +305,34 @@ def test_criterion_12_estimation_sanity():
     rng = np.random.default_rng(60)
     sigma2 = (2.0 / 2.0) / rng.gamma(4.0 / 2.0, 1.0, size=500)
     s2 = sigma2 * rng.chisquare(19, size=500)
-    pairs = [(float(v), 20) for v in s2]
-    a_hat, b_hat = estimate_ab(pairs)
+    n = np.full(s2.size, 20)
+    a_hat, b_hat = estimate_ab(s2, n)
     checks.append(("ab recovery", abs(a_hat - 4.0) / 4.0 <= 0.15 and abs(b_hat - 2.0) / 2.0 <= 0.15))
 
     # optimizer beats a 50x50 grid over (log a, log b) in [-3, 3]^2
     best_grid = max(
-        ab_marginal_loglik(math.exp(la), math.exp(lb), pairs)
+        ab_marginal_loglik(math.exp(la), math.exp(lb), s2, n)
         for la in np.linspace(-3, 3, 50)
         for lb in np.linspace(-3, 3, 50)
     )
-    checks.append(("grid optimality", ab_marginal_loglik(a_hat, b_hat, pairs) >= best_grid - 1e-9))
+    checks.append(("grid optimality", ab_marginal_loglik(a_hat, b_hat, s2, n) >= best_grid - 1e-9))
 
     # scale family at 5%
-    a_scaled, b_scaled = estimate_ab([(float(3.7 * v), 20) for v in s2])
+    a_scaled, b_scaled = estimate_ab(3.7 * s2, n)
     checks.append(("scale family",
                    abs(a_scaled - a_hat) / a_hat <= 0.05
                    and abs(b_scaled - 3.7 * b_hat) / (3.7 * b_hat) <= 0.05))
 
     # variance tracking
-    sigma2_hat, _ = eb_variances(a_hat, b_hat, pairs)
+    sigma2_hat, _ = eb_variances(a_hat, b_hat, s2, n)
     checks.append(("variance correlation", float(np.corrcoef(sigma2_hat, sigma2)[0, 1]) > 0.8))
 
     # degenerate heterogeneity
     rng = np.random.default_rng(42)
     table0, _ = generate_table(J=100, n_range=(10, 20), beta=[1.0, 0.5],
                                eta2=1e-12, rho=0.0, a=6.0, b=4.0, rng=rng, extent=10.0)
-    p0 = [(table0.s2[i], int(table0.n[i])) for i in range(table0.J)]
-    ah, bh = estimate_ab(p0)
-    sh, _ = eb_variances(ah, bh, p0)
+    ah, bh = estimate_ab(table0.s2, table0.n)
+    sh, _ = eb_variances(ah, bh, table0.s2, table0.n)
     fit0 = fit_mean_model(table0.ybar, sh / table0.n, table0.X, sq_exp_weights(table0.centroids))
     checks.append(("eta2 degenerate", fit0.eta2 < 0.05))
 
@@ -341,9 +340,8 @@ def test_criterion_12_estimation_sanity():
     rng = np.random.default_rng(503)
     table1, truth1 = generate_table(J=200, n_range=(10, 30), beta=[1.0, 0.5],
                                     eta2=1.0, rho=0.0, a=6.0, b=4.0, rng=rng, extent=12.0)
-    p1 = [(table1.s2[i], int(table1.n[i])) for i in range(table1.J)]
-    ah, bh = estimate_ab(p1)
-    sh, _ = eb_variances(ah, bh, p1)
+    ah, bh = estimate_ab(table1.s2, table1.n)
+    sh, _ = eb_variances(ah, bh, table1.s2, table1.n)
     W1 = sq_exp_weights(table1.centroids)
     fit1 = fit_mean_model(table1.ybar, sh / table1.n, table1.X, W1)
     checks.append(("rho recovery", abs(fit1.rho) <= 0.2))

@@ -100,6 +100,16 @@ class TestPredict:
         assert (code, out) == (2, "")
         assert err == f"error: {f}:3: not a finite number: '{value}'\n"
 
+    def test_overflowing_sample_is_one_error_line(self, tmp_path, capsys):
+        """Two values of 1e308 used to end in an OverflowError traceback from the sample sum."""
+        f = tmp_path / "big.csv"
+        write_values(f, [1e308, 1e308, 1.0, 2.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--alpha", "0.4", "--method", "dta",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: input values overflow double precision (intermediate overflow in fsum)\n"
+
     def test_missing_prior_flags_for_fab(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0, 2.0])
@@ -258,6 +268,22 @@ class TestSmallArea:
         )
         assert code == 2
         assert "ghost" in err
+
+    def test_overflowing_area_sample_is_one_error_line(self, dataset, tmp_path, capsys):
+        """An area holding two values of 1e308 used to end in an OverflowError traceback."""
+        areas, samples = dataset
+        big = tmp_path / "big_samples.csv"
+        big.write_text(open(samples).read() + "area000,1e308\narea000,1e308\n")
+        keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
+        keep.write_text("previous results\n")
+        for path in (keep, new):
+            code, out, err = run_cli(
+                capsys, "small-area", "--areas", areas, "--samples", str(big), "--output", str(path),
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: input values overflow double precision (intermediate overflow in fsum)\n"
+        assert keep.read_text() == "previous results\n"
+        assert not new.exists()
 
     def test_duplicate_area_id_names_its_line(self, tmp_path, capsys):
         """The error used to name line 1 and no id."""

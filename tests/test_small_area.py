@@ -100,35 +100,35 @@ class TestEstimateAB:
     def test_recovers_generating_values(self):
         rng = np.random.default_rng(60)
         s2, _ = _simulate_s2(rng, J=500, n=20, a=4.0, b=2.0)
-        a_hat, b_hat = estimate_ab([(float(v), 20) for v in s2])
+        a_hat, b_hat = estimate_ab(s2, np.full(s2.size, 20))
         assert a_hat == pytest.approx(4.0, rel=0.15)
         assert b_hat == pytest.approx(2.0, rel=0.15)
 
     def test_beats_grid_search(self):
         rng = np.random.default_rng(61)
         s2, _ = _simulate_s2(rng, J=80, n=8, a=3.0, b=1.5)
-        pairs = [(float(v), 8) for v in s2]
-        a_hat, b_hat = estimate_ab(pairs)
+        n = np.full(s2.size, 8)
+        a_hat, b_hat = estimate_ab(s2, n)
         best = max(
-            ab_marginal_loglik(math.exp(la), math.exp(lb), pairs)
+            ab_marginal_loglik(math.exp(la), math.exp(lb), s2, n)
             for la in np.linspace(-3, 3, 50)
             for lb in np.linspace(-3, 3, 50)
         )
-        assert ab_marginal_loglik(a_hat, b_hat, pairs) >= best - 1e-9
+        assert ab_marginal_loglik(a_hat, b_hat, s2, n) >= best - 1e-9
 
     def test_scale_family(self):
         rng = np.random.default_rng(60)
         s2, _ = _simulate_s2(rng, J=500, n=20, a=4.0, b=2.0)
-        pairs = [(float(v), 20) for v in s2]
-        a_hat, b_hat = estimate_ab(pairs)
+        n = np.full(s2.size, 20)
+        a_hat, b_hat = estimate_ab(s2, n)
         lam = 3.7
-        a_scaled, b_scaled = estimate_ab([(float(v * lam), 20) for v in s2])
+        a_scaled, b_scaled = estimate_ab(s2 * lam, n)
         assert a_scaled == pytest.approx(a_hat, rel=0.05)
         assert b_scaled == pytest.approx(lam * b_hat, rel=0.05)
 
     def test_needs_two_informative_areas(self):
         with pytest.raises(ValueError):
-            estimate_ab([(1.0, 5), (0.0, 1)])
+            estimate_ab([1.0, 0.0], [5, 1])
 
     @pytest.mark.parametrize("best_point", [(0.1 + 0.2, 3.0e-300), None])
     def test_estimation_error_survives_pickle(self, best_point):
@@ -317,7 +317,7 @@ class TestLockstepNelderMead:
         assert len(fits) < table.J
         for j, fit in fits.items():
             s2, n = _loo_problem(table, j)
-            assert [v.hex() for v in fit] == [v.hex() for v in estimate_ab(list(zip(s2, n)))]
+            assert [v.hex() for v in fit] == [v.hex() for v in estimate_ab(s2, n)]
 
     def test_failures_keep_estimate_ab_errors(self):
         """Too few informative areas, or a non-finite sum of squares, fail as estimate_ab does."""
@@ -326,7 +326,7 @@ class TestLockstepNelderMead:
                         samples=[s if j < 2 else s[:1] for j, s in enumerate(table.samples)])
         for j, err in small_area._loo_ab_fits(few).items():
             with pytest.raises(ValueError, match="at least two areas") as exc:
-                estimate_ab(list(zip(*_loo_problem(few, j))))
+                estimate_ab(*_loo_problem(few, j))
             assert isinstance(err, ValueError) and str(err) == str(exc.value)
 
         # An overflowing sum of squares in area 2 (the table is frozen).
@@ -343,32 +343,60 @@ class TestLockstepNelderMead:
         a = np.array([0.5, 3.0, 40.0])
         b = np.array([0.1, 2.0, 9.0])
         rows = small_area._ab_loglik(a, b, np.tile(s2, (3, 1)), np.tile((n - 1.0) / 2.0, (3, 1)))
-        pairs = list(zip(s2, n))
         assert [v.hex() for v in rows] == [
-            ab_marginal_loglik(x, y, pairs).hex() for x, y in zip(a.tolist(), b.tolist())
+            ab_marginal_loglik(x, y, s2, n).hex() for x, y in zip(a.tolist(), b.tolist())
         ]
 
 
 class TestEBVariances:
     def test_zero_sum_of_squares(self):
-        sigma2_k, _ = eb_variances(3.0, 2.0, [(0.0, 2)])
+        sigma2_k, _ = eb_variances(3.0, 2.0, [0.0], [2])
         assert sigma2_k[0] == pytest.approx(2.0 / 6.0, rel=1e-15)
 
     def test_held_out_prior_mode(self):
-        _, held = eb_variances(3.0, 2.0, [(1.0, 5)])
+        _, held = eb_variances(3.0, 2.0, [1.0], [5])
         assert held == pytest.approx(2.0 / 5.0, rel=1e-15)
 
     def test_large_b_dominated_by_prior(self):
-        sigma2_k, _ = eb_variances(3.0, 1e8, [(4.0, 6)])
+        sigma2_k, _ = eb_variances(3.0, 1e8, [4.0], [6])
         assert sigma2_k[0] == pytest.approx(1e8 / 10.0, rel=1e-6)
 
     def test_tracks_true_variances(self):
         rng = np.random.default_rng(60)
         s2, sigma2 = _simulate_s2(rng, J=500, n=20, a=4.0, b=2.0)
-        pairs = [(float(v), 20) for v in s2]
-        a_hat, b_hat = estimate_ab(pairs)
-        sigma2_hat, _ = eb_variances(a_hat, b_hat, pairs)
+        n = np.full(s2.size, 20)
+        a_hat, b_hat = estimate_ab(s2, n)
+        sigma2_hat, _ = eb_variances(a_hat, b_hat, s2, n)
         assert np.corrcoef(sigma2_hat, sigma2)[0, 1] > 0.8
+
+    def test_single_observation_area_has_prior_only_estimate(self):
+        """An area with n = 1 has no sum of squares: its NaN entry is not read."""
+        a, b = 3.0, 2.0
+        sigma2_k, _ = eb_variances(a, b, [math.nan, 4.0], [1, 6])
+        assert [v.hex() for v in sigma2_k] == [(b / (a + 2.0)).hex(), ((b + 4.0) / (a + 7.0)).hex()]
+
+    def test_lists_and_arrays_give_the_same_bits(self):
+        """The variance stage reads any 1-D array-like ``(s2, n)``; lists and arrays agree bit for bit."""
+        table = _criterion_11_table(12, 9)
+        s2, n = table.s2.copy(), table.n.copy()
+        as_lists = s2.tolist(), n.tolist()
+        assert [v.hex() for v in estimate_ab(*as_lists)] == [v.hex() for v in estimate_ab(s2, n)]
+        assert ab_marginal_loglik(3.0, 2.0, *as_lists).hex() == ab_marginal_loglik(3.0, 2.0, s2, n).hex()
+        s2[0], n[0] = math.nan, 1  # an n = 1 area, as AreaTable.s2 holds it
+        from_lists, held_lists = eb_variances(3.0, 2.0, s2.tolist(), n.tolist())
+        from_arrays, held_arrays = eb_variances(3.0, 2.0, s2, n)
+        assert [v.hex() for v in from_lists] == [v.hex() for v in from_arrays]
+        assert held_lists.hex() == held_arrays.hex()
+
+    @pytest.mark.parametrize("call", [
+        lambda s2, n: estimate_ab(s2, n),
+        lambda s2, n: ab_marginal_loglik(3.0, 2.0, s2, n),
+        lambda s2, n: eb_variances(3.0, 2.0, s2, n),
+    ], ids=["estimate_ab", "ab_marginal_loglik", "eb_variances"])
+    def test_s2_and_n_of_different_lengths_rejected(self, call):
+        """``eb_variances`` would otherwise broadcast one sum of squares over three areas."""
+        with pytest.raises(ValueError, match="s2 and n must have the same shape"):
+            call([1.0], [5, 6, 7])
 
 
 class TestFitMeanModel:
@@ -376,9 +404,8 @@ class TestFitMeanModel:
         rng = np.random.default_rng(42)
         table, _ = generate_table(J=100, n_range=(10, 20), beta=[1.0, 0.5],
                                   eta2=1e-12, rho=0.0, a=6.0, b=4.0, rng=rng, extent=10.0)
-        pairs = [(table.s2[i], int(table.n[i])) for i in range(table.J)]
-        a_hat, b_hat = estimate_ab(pairs)
-        sigma2_hat, _ = eb_variances(a_hat, b_hat, pairs)
+        a_hat, b_hat = estimate_ab(table.s2, table.n)
+        sigma2_hat, _ = eb_variances(a_hat, b_hat, table.s2, table.n)
         fit = fit_mean_model(table.ybar, sigma2_hat / table.n, table.X,
                              sq_exp_weights(table.centroids))
         assert fit.eta2 < 0.05
@@ -388,9 +415,8 @@ class TestFitMeanModel:
         rng = np.random.default_rng(503)
         table, _ = generate_table(J=200, n_range=(10, 30), beta=[1.0, 0.5],
                                   eta2=1.0, rho=0.0, a=6.0, b=4.0, rng=rng, extent=12.0)
-        pairs = [(table.s2[i], int(table.n[i])) for i in range(table.J)]
-        a_hat, b_hat = estimate_ab(pairs)
-        sigma2_hat, _ = eb_variances(a_hat, b_hat, pairs)
+        a_hat, b_hat = estimate_ab(table.s2, table.n)
+        sigma2_hat, _ = eb_variances(a_hat, b_hat, table.s2, table.n)
         fit = fit_mean_model(table.ybar, sigma2_hat / table.n, table.X,
                              sq_exp_weights(table.centroids))
         assert abs(fit.rho) <= 0.2
@@ -657,6 +683,12 @@ class TestAreaPipeline:
         with pytest.raises(ValueError, match=match):
             AreaTable(**fields)
 
+    def test_table_rejects_duplicate_ids(self):
+        """Otherwise the pipeline's records could not be told apart by their area ids."""
+        table, _ = self._table()
+        with pytest.raises(ValueError, match="area ids must be distinct"):
+            AreaTable(ids=["a"] * table.J, samples=table.samples, X=table.X, centroids=table.centroids)
+
     @pytest.mark.parametrize("j", [-1, "J"])
     def test_loo_index_out_of_range_raises_before_any_fit(self, monkeypatch, j):
         def no_fit(*args, **kwargs):
@@ -680,7 +712,7 @@ class TestAreaPipeline:
             else:
                 assert area not in records
                 s2, n = _loo_problem(table, j)
-                prior = small_area._prior_given_ab(table, j, *estimate_ab(list(zip(s2, n))))
+                prior = small_area._prior_given_ab(table, j, *estimate_ab(s2, n))
                 want = prior.mu_j, prior.tau2_j
             assert (params.mu_j.hex(), params.tau2_j.hex()) == (want[0].hex(), want[1].hex()), area
 
