@@ -12,8 +12,6 @@ baselines.
 """
 
 from .baselines import (
-    EBSpec,
-    PivotSpec,
     dta_g,
     dta_interval,
     eb_interval,

@@ -5,12 +5,16 @@ baseline: it scores a candidate by its distance to the mean of the
 augmented sample and needs no hyperparameters. The pivot and
 empirical-Bayes intervals are the classical parametric alternatives; both
 come in a known-variance z variant and an estimated-variance t variant.
+
+``pivot_interval(sample, alpha, sigma2=None)`` and ``eb_interval(sample,
+alpha, mu, tau2, sigma2=None)`` are one-row calls of the row kernels
+``pivot_bounds`` and ``eb_bounds``, which the simulator calls too. The
+kernels check the parameters, and NaN fails every check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +25,6 @@ from .intervals import PredictionInterval
 from .working_model import _as_sample
 
 __all__ = [
-    "PivotSpec",
-    "EBSpec",
     "normal_quantile",
     "student_t_quantile",
     "dta_g",
@@ -32,43 +34,6 @@ __all__ = [
     "pivot_interval",
     "eb_interval",
 ]
-
-
-@dataclass(frozen=True)
-class PivotSpec:
-    """Configuration of the classical pivot interval.
-
-    ``sigma2`` set means known variance (z quantile); ``sigma2=None``
-    means the variance is estimated from the sample (t quantile with
-    ``n - 1`` degrees of freedom, requires ``n >= 2``).
-    """
-
-    alpha: float
-    sigma2: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sigma2 is not None and self.sigma2 <= 0.0:
-            raise ValueError(f"known sigma2 must be positive, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class EBSpec:
-    """Configuration of the empirical-Bayes interval (pivot spec plus prior)."""
-
-    mu: float
-    tau2: float
-    alpha: float
-    sigma2: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.tau2 <= 0.0:
-            raise ValueError(f"tau2 must be positive, got {self.tau2}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sigma2 is not None and self.sigma2 <= 0.0:
-            raise ValueError(f"known sigma2 must be positive, got {self.sigma2}")
 
 
 # -- quantile routines --------------------------------------------------------
@@ -222,8 +187,12 @@ def _variance_and_quantile(
     samples: np.ndarray, alpha: float, sigma2: float | None
 ) -> tuple[np.ndarray, float]:
     """Per-row variance and two-sided quantile: known ``sigma2`` with z, or s^2 with t."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = samples.shape[1]
     if sigma2 is not None:
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(f"known sigma2 must be positive and finite, got {sigma2}")
         return np.full(samples.shape[0], sigma2), normal_quantile(1.0 - alpha / 2.0)
     if n < 2:
         raise ValueError("estimated-variance mode requires n >= 2")
@@ -248,9 +217,13 @@ def eb_bounds(
 ) -> np.ndarray:
     """Empirical-Bayes bounds for each row of ``samples``, shape (rows, 2).
 
-    A row with zero estimated variance gets ``[ybar, ybar]``, the s2 -> 0
-    limit of the interval.
+    ``tau2 = inf`` is the diffuse prior, which gives the pivot bounds. A
+    row with zero estimated variance gets ``[ybar, ybar]``, the s2 -> 0 limit.
     """
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not tau2 > 0.0:
+        raise ValueError(f"tau2 must be positive, got {tau2}")
     n = samples.shape[1]
     s2, q = _variance_and_quantile(samples, alpha, sigma2)
     ybar = samples.mean(axis=1)
@@ -261,25 +234,34 @@ def eb_bounds(
     return np.column_stack([center - half, center + half])
 
 
-def pivot_interval(sample: Sequence[float] | np.ndarray, spec: PivotSpec) -> PredictionInterval:
+def pivot_interval(
+    sample: Sequence[float] | np.ndarray, alpha: float, sigma2: float | None = None
+) -> PredictionInterval:
     """Classical pivot interval ``ybar +/- q * sqrt(sigma2 * (1 + 1/n))``.
 
-    In known-variance mode the width does not depend on the sample values.
+    A known ``sigma2`` uses the z quantile; ``sigma2=None`` estimates it
+    from the sample (t quantile with ``n - 1`` degrees of freedom, needs
+    ``n >= 2``). In known-variance mode the width does not depend on the
+    sample values.
     """
     y = _as_sample(sample)
-    lower, upper = pivot_bounds(y[None, :], spec.alpha, spec.sigma2)[0]
-    return PredictionInterval(float(lower), float(upper), spec.alpha, 1.0 - spec.alpha)
+    lower, upper = pivot_bounds(y[None, :], alpha, sigma2)[0]
+    return PredictionInterval(float(lower), float(upper), alpha, 1.0 - alpha)
 
 
-def eb_interval(sample: Sequence[float] | np.ndarray, spec: EBSpec) -> PredictionInterval:
+def eb_interval(
+    sample: Sequence[float] | np.ndarray, alpha: float, mu: float, tau2: float,
+    sigma2: float | None = None,
+) -> PredictionInterval:
     """Empirical-Bayes interval centered at the shrinkage estimator.
 
     The center is ``theta_tilde = (mu/tau2 + ybar*n/sigma2) / (1/tau2 +
     n/sigma2)`` and the half-width is ``q * sqrt((1/tau2 + n/sigma2)**-1 +
-    sigma2)``. In the known-variance z variant this is strictly narrower
-    than the pivot interval for any finite ``tau2``. A constant sample in
+    sigma2)``, with ``sigma2`` as in :func:`pivot_interval`. In the
+    known-variance z variant this is strictly narrower than the pivot
+    interval for any finite ``tau2``. A constant sample in
     estimated-variance mode gives the degenerate interval ``[ybar, ybar]``.
     """
     y = _as_sample(sample)
-    lower, upper = eb_bounds(y[None, :], spec.alpha, spec.mu, spec.tau2, spec.sigma2)[0]
-    return PredictionInterval(float(lower), float(upper), spec.alpha, 1.0 - spec.alpha)
+    lower, upper = eb_bounds(y[None, :], alpha, mu, tau2, sigma2)[0]
+    return PredictionInterval(float(lower), float(upper), alpha, 1.0 - alpha)

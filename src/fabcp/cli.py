@@ -195,10 +195,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     mu, precision = (args.mu, precision) if args.method == "fab" else (0.0, 0.0)
 
     interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
-    if precision > 0.0:
-        theta_tilde = posterior_mean_theta(
-            sample, WorkingModelParams(mu=mu, tau2=1.0 / precision, a=1.0, b=1.0)
-        )
+    # A precision whose reciprocal overflows is the diffuse prior, as 0 is.
+    tau2 = 1.0 / precision if precision > 0.0 else math.inf
+    if math.isfinite(tau2):
+        theta_tilde = posterior_mean_theta(sample, WorkingModelParams(mu=mu, tau2=tau2, a=1.0, b=1.0))
     else:
         theta_tilde = float(np.mean(sample))
 

@@ -119,15 +119,17 @@ def g_map(y_i: float, sample_sum: float, n: int, mu: float, tau2: float) -> floa
     -----
     The reflection solves the score tie between ``y_i`` and a candidate
     under the augmented-sample predictive density. Its denominator
-    ``precision + n - 1`` is positive for every ``tau2 > 0``, ``n >= 1``.
+    ``precision + n - 1`` is positive for every ``tau2 > 0`` at ``n >= 2``;
+    at ``n = 1`` a ``tau2`` so large that ``1/tau2 + 2`` rounds to 2 raises.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tau2 <= 0.0:
+    if not tau2 > 0.0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
     precision = 1.0 / tau2
     c = precision + (n + 1.0)
-    assert c > 2.0, "reflection denominator must be positive"
+    if not c > 2.0:
+        raise ValueError(f"n = 1 needs 1/tau2 + 2 > 2, got tau2 = {tau2}")
     return _reflect(y_i, mu * precision + sample_sum, c)
 
 

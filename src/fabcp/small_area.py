@@ -155,9 +155,9 @@ class AreaConformalParams:
     sigma2_hat_j: float
 
     def __post_init__(self) -> None:
-        if self.tau2_j <= 0.0:
+        if not self.tau2_j > 0.0:
             raise ValueError(f"tau2_j must be positive, got {self.tau2_j}")
-        if self.sigma2_hat_j <= 0.0:
+        if not self.sigma2_hat_j > 0.0:
             raise ValueError(f"sigma2_hat_j must be positive, got {self.sigma2_hat_j}")
 
 
@@ -209,6 +209,8 @@ def sq_exp_weights(centroids: Sequence[tuple[float, float]] | np.ndarray) -> np.
     c = np.asarray(centroids, dtype=float)
     if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 2:
         raise ValueError("need at least two (cx, cy) centroids")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("centroids must be finite")
     d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
     W = np.exp(-d2)
     np.fill_diagonal(W, 0.0)
@@ -254,18 +256,28 @@ def sar_covariance(rho: float, W: np.ndarray) -> np.ndarray:
 # -- variance hyperparameters --------------------------------------------------
 
 
-def _split_s2(s2: ArrayLike, n: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    """The areas with ``n >= 2`` of one (a, b) problem, as arrays; raises if they cannot be fitted."""
+def _sums_of_squares(
+    s2: ArrayLike, n: ArrayLike, fit: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``s2``, ``n`` and the mask ``n >= 2`` as arrays; each masked ``s2`` must be finite and >= 0.
+
+    A ``fit`` also needs two masked areas, the fewest an (a, b) fit can use.
+    """
     s2, n = np.asarray(s2, dtype=float), np.asarray(n)
     if s2.shape != n.shape:
         raise ValueError("s2 and n must have the same shape")
     keep = n >= 2
-    if np.count_nonzero(keep) < 2:
+    if fit and np.count_nonzero(keep) < 2:
         raise ValueError("need at least two areas with n >= 2")
-    s2, n = s2[keep], n[keep]
-    if np.any(s2 < 0.0) or not np.all(np.isfinite(s2)):
+    if np.any(s2[keep] < 0.0) or not np.all(np.isfinite(s2[keep])):
         raise ValueError("sums of squares must be finite and nonnegative")
-    return s2, n
+    return s2, n, keep
+
+
+def _split_s2(s2: ArrayLike, n: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """The areas with ``n >= 2`` of one (a, b) problem, as arrays; raises if they cannot be fitted."""
+    s2, n, keep = _sums_of_squares(s2, n, fit=True)
+    return s2[keep], n[keep]
 
 
 def ab_marginal_loglik(a: float, b: float, s2: ArrayLike, n: ArrayLike) -> float:
@@ -281,7 +293,7 @@ def ab_marginal_loglik(a: float, b: float, s2: ArrayLike, n: ArrayLike) -> float
 
     summed in log over areas with ``n_k >= 2``.
     """
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("a and b must be positive")
     s2, n = _split_s2(s2, n)
     return float(_ab_loglik(np.array([a]), np.array([b]), s2[None], (n[None] - 1.0) / 2.0)[0])
@@ -516,14 +528,13 @@ def eb_variances(a_hat: float, b_hat: float, s2: ArrayLike, n: ArrayLike) -> tup
     squares, ``(b + s2_k) / (a + n_k + 1)``. An area with ``n_k < 2`` has
     no sum of squares, so its estimate is ``b / (a + n_k + 1)`` whatever
     its ``s2_k`` entry says (NaN in ``AreaTable.s2``). The held-out area
-    gets the prior mode ``b / (a + 2)``.
+    gets the prior mode ``b / (a + 2)``. The other entries must be finite
+    and nonnegative, as in :func:`estimate_ab` (see :func:`_sums_of_squares`).
     """
-    if a_hat <= 0.0 or b_hat <= 0.0:
+    if not (a_hat > 0.0 and b_hat > 0.0):
         raise ValueError("a_hat and b_hat must be positive")
-    s2, n = np.asarray(s2, dtype=float), np.asarray(n)
-    if s2.shape != n.shape:
-        raise ValueError("s2 and n must have the same shape")
-    sigma2_k = (b_hat + np.where(n >= 2, s2, 0.0)) / (a_hat + n + 1.0)
+    s2, n, keep = _sums_of_squares(s2, n)
+    sigma2_k = (b_hat + np.where(keep, s2, 0.0)) / (a_hat + n + 1.0)
     sigma2_heldout = b_hat / (a_hat + 2.0)
     return sigma2_k, float(sigma2_heldout)
 
@@ -748,7 +759,7 @@ def fit_mean_model(
         raise ValueError(f"need at least p + 2 = {p + 2} areas, got {J}")
     if np.linalg.matrix_rank(X) < p:
         raise ValueError("covariate matrix is rank deficient")
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise ValueError("sampling variances must be positive")
     _check_weights(W)
     parts = _SarParts(W, d, ybar, X)
@@ -800,11 +811,11 @@ def conditional_params(
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.size != J - 1:
         raise ValueError(f"theta_hat must have J-1={J-1} entries, got {theta_hat.size}")
-    if sigma2_hat_j <= 0.0:
+    if not sigma2_hat_j > 0.0:
         raise ValueError("sigma2_hat_j must be positive")
     if not -1.0 < rho_hat < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho_hat}")
-    if eta2_hat <= 0.0:
+    if not eta2_hat > 0.0:
         raise ValueError("eta2_hat must be positive")
     _check_weights(W)
 

@@ -93,7 +93,7 @@ class PosteriorPredictive:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.a_sigma <= 0 or self.tau2_theta <= 0 or self.b_sigma <= 0 or self.scale <= 0:
+        if not (self.a_sigma > 0 and self.tau2_theta > 0 and self.b_sigma > 0 and self.scale > 0):
             raise ValueError("posterior predictive parameters must be positive")
 
 

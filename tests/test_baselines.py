@@ -8,12 +8,12 @@ from scipy.special import erfinv, ndtri
 from scipy.stats import t as student_t
 
 from fabcp.baselines import (
-    EBSpec,
-    PivotSpec,
     dta_g,
     dta_interval,
+    eb_bounds,
     eb_interval,
     normal_quantile,
+    pivot_bounds,
     pivot_interval,
     student_t_quantile,
 )
@@ -123,7 +123,7 @@ class TestDtaInterval:
 class TestPivotInterval:
     def test_known_variance_hand_value(self):
         z = normal_quantile(0.875)
-        iv = pivot_interval([0.0, 0.0, 0.0], PivotSpec(alpha=0.25, sigma2=1.0))
+        iv = pivot_interval([0.0, 0.0, 0.0], 0.25, sigma2=1.0)
         want = z * math.sqrt(4.0 / 3.0)
         assert iv.upper == pytest.approx(want, rel=1e-12)
         assert iv.lower == pytest.approx(-want, rel=1e-12)
@@ -131,44 +131,43 @@ class TestPivotInterval:
         assert z == pytest.approx(math.sqrt(2) * float(erfinv(0.75)), abs=1e-12)
 
     def test_alpha_near_one_collapses(self):
-        iv = pivot_interval([1.0, 2.0], PivotSpec(alpha=1 - 1e-12, sigma2=1.0))
+        iv = pivot_interval([1.0, 2.0], 1 - 1e-12, sigma2=1.0)
         assert iv.width < 1e-10
 
     def test_width_independent_of_values_when_variance_known(self):
-        spec = PivotSpec(alpha=0.2, sigma2=2.0)
-        w1 = pivot_interval([0.0, 1.0, 2.0], spec).width
-        w2 = pivot_interval([-5.0, 5.0, 20.0], spec).width
+        w1 = pivot_interval([0.0, 1.0, 2.0], 0.2, sigma2=2.0).width
+        w2 = pivot_interval([-5.0, 5.0, 20.0], 0.2, sigma2=2.0).width
         assert w1 == pytest.approx(w2, rel=1e-15)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(41)
         y = rng.normal(size=6)
-        for spec in (PivotSpec(0.25, sigma2=1.0), PivotSpec(0.25)):
-            base = pivot_interval(y, spec)
-            moved = pivot_interval(y + 3.5, spec)
+        for sigma2 in (1.0, None):
+            base = pivot_interval(y, 0.25, sigma2)
+            moved = pivot_interval(y + 3.5, 0.25, sigma2)
             assert moved.lower == pytest.approx(base.lower + 3.5, rel=1e-12)
             assert moved.upper == pytest.approx(base.upper + 3.5, rel=1e-12)
 
     def test_estimated_mode_needs_two(self):
         with pytest.raises(ValueError):
-            pivot_interval([1.0], PivotSpec(alpha=0.25))
+            pivot_interval([1.0], 0.25)
 
 
 class TestEBInterval:
     def test_diffuse_limit_matches_pivot(self):
         y = [0.3, -1.0, 2.2]
-        pivot = pivot_interval(y, PivotSpec(alpha=0.25, sigma2=1.0))
-        eb = eb_interval(y, EBSpec(mu=9.0, tau2=1e15, alpha=0.25, sigma2=1.0))
+        pivot = pivot_interval(y, 0.25, sigma2=1.0)
+        eb = eb_interval(y, 0.25, mu=9.0, tau2=1e15, sigma2=1.0)
         assert eb.lower == pytest.approx(pivot.lower, abs=1e-6)
         assert eb.upper == pytest.approx(pivot.upper, abs=1e-6)
 
     def test_tight_prior_centers_at_mu(self):
-        eb = eb_interval([5.0, 6.0], EBSpec(mu=-2.0, tau2=1e-14, alpha=0.25, sigma2=1.0))
+        eb = eb_interval([5.0, 6.0], 0.25, mu=-2.0, tau2=1e-14, sigma2=1.0)
         assert 0.5 * (eb.lower + eb.upper) == pytest.approx(-2.0, abs=1e-9)
 
     def test_hand_example(self):
         # mu=0, tau2=1/2, sigma2=1, n=3, ybar=1: center 0.6, half-width z*sqrt(1.2)
-        eb = eb_interval([0.0, 1.0, 2.0], EBSpec(mu=0.0, tau2=0.5, alpha=0.25, sigma2=1.0))
+        eb = eb_interval([0.0, 1.0, 2.0], 0.25, mu=0.0, tau2=0.5, sigma2=1.0)
         z = normal_quantile(0.875)
         assert 0.5 * (eb.lower + eb.upper) == pytest.approx(0.6, rel=1e-12)
         assert 0.5 * eb.width == pytest.approx(z * math.sqrt(1.2), rel=1e-12)
@@ -181,20 +180,20 @@ class TestEBInterval:
             tau2 = float(rng.uniform(0.01, 50))
             mu = float(rng.normal() * 3)
             sigma2 = float(rng.uniform(0.2, 5))
-            w_eb = eb_interval(y, EBSpec(mu, tau2, alpha, sigma2)).width
-            w_piv = pivot_interval(y, PivotSpec(alpha, sigma2)).width
+            w_eb = eb_interval(y, alpha, mu, tau2, sigma2).width
+            w_piv = pivot_interval(y, alpha, sigma2).width
             assert w_eb < w_piv
 
     def test_location_equivariance(self):
         y = np.array([0.5, -0.7, 1.1])
-        base = eb_interval(y, EBSpec(mu=0.4, tau2=0.5, alpha=0.25, sigma2=1.0))
-        moved = eb_interval(y + 2.0, EBSpec(mu=2.4, tau2=0.5, alpha=0.25, sigma2=1.0))
+        base = eb_interval(y, 0.25, mu=0.4, tau2=0.5, sigma2=1.0)
+        moved = eb_interval(y + 2.0, 0.25, mu=2.4, tau2=0.5, sigma2=1.0)
         assert moved.lower == pytest.approx(base.lower + 2.0, rel=1e-12)
         assert moved.upper == pytest.approx(base.upper + 2.0, rel=1e-12)
 
     def test_estimated_variance_uses_t(self):
         y = [0.0, 1.0, 2.0, 3.0]
-        eb = eb_interval(y, EBSpec(mu=0.0, tau2=1.0, alpha=0.25))
+        eb = eb_interval(y, 0.25, mu=0.0, tau2=1.0)
         s2 = float(np.var(y, ddof=1))
         prec = 1.0 + 4.0 / s2
         want_half = student_t_quantile(0.875, 3) * math.sqrt(1.0 / prec + s2)
@@ -202,18 +201,50 @@ class TestEBInterval:
 
     def test_constant_sample_with_estimated_variance_degenerates(self):
         # The s2 -> 0 limit, as the t-mode pivot interval gives for the same sample.
-        eb = eb_interval([1.0, 1.0, 1.0], EBSpec(mu=0.0, tau2=1.0, alpha=0.25))
+        eb = eb_interval([1.0, 1.0, 1.0], 0.25, mu=0.0, tau2=1.0)
         assert (eb.lower, eb.upper) == (1.0, 1.0)
-        pivot = pivot_interval([1.0, 1.0, 1.0], PivotSpec(alpha=0.25))
+        pivot = pivot_interval([1.0, 1.0, 1.0], 0.25)
         assert (pivot.lower, pivot.upper) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_parametric_intervals_reject_non_finite_samples(bad):
     y = [1.0, bad, 2.0]
-    for spec in (PivotSpec(0.25, sigma2=1.0), PivotSpec(0.25)):
+    for sigma2 in (1.0, None):
         with pytest.raises(ValueError, match="non-finite"):
-            pivot_interval(y, spec)
-    for spec in (EBSpec(0.0, 1.0, 0.25, sigma2=1.0), EBSpec(0.0, 1.0, 0.25)):
+            pivot_interval(y, 0.25, sigma2)
         with pytest.raises(ValueError, match="non-finite"):
-            eb_interval(y, spec)
+            eb_interval(y, 0.25, 0.0, 1.0, sigma2)
+
+
+_ROWS = np.array([[0.0, 1.0, 2.0], [0.5, -0.3, 1.1]])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: pivot_bounds(s, 1.5, None), "alpha"),
+        (lambda s: pivot_bounds(s, math.nan, 1.0), "alpha"),
+        (lambda s: pivot_bounds(s, 0.25, 0.0), "sigma2"),
+        (lambda s: pivot_bounds(s, 0.25, math.inf), "sigma2"),
+        (lambda s: eb_bounds(s, 0.25, 0.0, -1.0, 1.0), "tau2"),
+        (lambda s: eb_bounds(s, 0.25, 0.0, math.nan, None), "tau2"),
+        (lambda s: eb_bounds(s, 0.25, math.inf, 1.0, 1.0), "mu"),
+        (lambda s: eb_bounds(s, 0.0, 0.0, 1.0, 1.0), "alpha"),
+        (lambda s: eb_interval(s[0], 0.25, math.nan, 1.0), "mu"),
+        (lambda s: pivot_interval(s[0], 0.25, math.nan), "sigma2"),
+    ],
+    ids=["pivot_alpha_above_one", "pivot_alpha_nan", "pivot_sigma2_zero", "pivot_sigma2_inf",
+         "eb_tau2_negative", "eb_tau2_nan", "eb_mu_inf", "eb_alpha_zero", "eb_interval_mu_nan",
+         "pivot_interval_sigma2_nan"],
+)
+def test_row_kernels_check_parameters(call, name):
+    """The rules live in the kernels, so the simulator's batched calls get them too."""
+    with pytest.raises(ValueError, match=rf"^(known )?{name} must"):
+        call(_ROWS)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, None])
+def test_eb_bounds_with_infinite_tau2_are_the_pivot_bounds(sigma2):
+    eb = eb_bounds(_ROWS, 0.25, 3.0, math.inf, sigma2)
+    np.testing.assert_allclose(eb, pivot_bounds(_ROWS, 0.25, sigma2), rtol=1e-14)

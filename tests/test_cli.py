@@ -59,6 +59,19 @@ class TestPredict:
         for key in ("n", "k", "achieved_level", "lower", "upper", "theta_tilde"):
             assert a[key] == b[key]
 
+    @pytest.mark.parametrize("precision", ["1e-310", "5e-324"])
+    def test_precision_with_overflowing_reciprocal_is_the_diffuse_limit(self, tmp_path, capsys, precision):
+        """theta_tilde went through tau2 = 1/precision = inf, and the run exited 1."""
+        f = tmp_path / "s.csv"
+        write_values(f, [0.3, -1.1, 2.0, 0.7])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--mu", "10", "--precision", precision,
+            "--alpha", "0.25", "--method", "fab",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["lower"] <= payload["theta_tilde"] <= payload["upper"]
+
     def test_k_zero_warns_and_reports_infinite(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0, 2.0, 3.0])

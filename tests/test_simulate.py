@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from fabcp.baselines import (
-    EBSpec,
-    PivotSpec,
     dta_interval,
     eb_bounds,
     eb_interval,
@@ -108,9 +106,9 @@ class TestBatchBounds:
         pt = pivot_bounds(samples, 0.25, None)
         eb = eb_bounds(samples, 0.25, 0.3, 0.5, 1.0)
         for i, row in enumerate(samples):
-            piv_z = pivot_interval(row, PivotSpec(0.25, sigma2=1.0))
-            piv_t = pivot_interval(row, PivotSpec(0.25))
-            ebi = eb_interval(row, EBSpec(0.3, 0.5, 0.25, sigma2=1.0))
+            piv_z = pivot_interval(row, 0.25, sigma2=1.0)
+            piv_t = pivot_interval(row, 0.25)
+            ebi = eb_interval(row, 0.25, 0.3, 0.5, sigma2=1.0)
             np.testing.assert_allclose(pb[i], [piv_z.lower, piv_z.upper], rtol=1e-12)
             np.testing.assert_allclose(pt[i], [piv_t.lower, piv_t.upper], rtol=1e-12)
             np.testing.assert_allclose(eb[i], [ebi.lower, ebi.upper], rtol=1e-12)

@@ -15,6 +15,7 @@ import pytest
 
 from fabcp import small_area
 from fabcp.small_area import (
+    AreaConformalParams,
     AreaTable,
     EstimationError,
     ab_marginal_loglik,
@@ -33,8 +34,9 @@ from fabcp.small_area import (
     _SarParts,
 )
 from fabcp.baselines import dta_interval
-from fabcp.fab import fab_interval_from_precision
+from fabcp.fab import fab_interval_from_precision, g_map
 from fabcp.simulate import _fab_bounds
+from fabcp.working_model import PosteriorPredictive
 
 
 def _random_weights(rng, J):
@@ -59,6 +61,12 @@ class TestSqExpWeights:
     def test_isolated_area_rejected(self):
         with pytest.raises(ValueError, match="isolated area"):
             sq_exp_weights([(0.0, 0.0), (1e4, 0.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_centroid_rejected(self, bad):
+        """A NaN centroid gave an all-NaN W, and an infinite one an "isolated area"."""
+        with pytest.raises(ValueError, match="centroids must be finite"):
+            sq_exp_weights([(0.0, 0.0), (1.0, bad), (2.0, 0.5)])
 
 
 class TestSarCovariance:
@@ -397,6 +405,12 @@ class TestEBVariances:
         """``eb_variances`` would otherwise broadcast one sum of squares over three areas."""
         with pytest.raises(ValueError, match="s2 and n must have the same shape"):
             call([1.0], [5, 6, 7])
+
+    @pytest.mark.parametrize("bad", [-5.0, math.inf, math.nan])
+    def test_bad_sum_of_squares_rejected(self, bad):
+        """The rule ``estimate_ab`` applies: this gave a negative, infinite or NaN variance."""
+        with pytest.raises(ValueError, match="sums of squares must be finite and nonnegative"):
+            eb_variances(3.0, 2.0, [bad, 4.0], [4, 4])
 
 
 class TestFitMeanModel:
@@ -1052,3 +1066,30 @@ class TestGenerateTable:
         assert set(truth) >= {"beta", "eta2", "rho", "a", "b", "theta", "sigma2"}
         assert len(truth["theta"]) == 5
         assert table.X.shape == (5, 2)
+
+
+def _conditional(**kw):
+    W = sq_exp_weights([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    args = dict(j=0, beta_hat=np.array([0.5]), eta2_hat=0.7, rho_hat=0.2, theta_hat=np.zeros(3),
+                W=W, X=np.ones((4, 1)), sigma2_hat_j=0.9)
+    return conditional_params(**{**args, **kw})
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: AreaConformalParams(0.0, math.nan, 1.0), "tau2_j"),
+    (lambda: AreaConformalParams(0.0, 1.0, math.nan), "sigma2_hat_j"),
+    (lambda: _conditional(sigma2_hat_j=math.nan), "sigma2_hat_j"),
+    (lambda: _conditional(eta2_hat=math.nan), "eta2_hat"),
+    (lambda: ab_marginal_loglik(math.nan, 1.0, [1.0, 2.0], [4, 4]), "a and b"),
+    (lambda: eb_variances(math.nan, 1.0, [1.0, 2.0], [4, 4]), "a_hat and b_hat"),
+    (lambda: fit_mean_model(np.zeros(4), [1.0, math.nan, 1.0, 1.0], np.ones((4, 1)),
+                            sq_exp_weights([(0, 0), (1, 0), (0, 1), (1, 1)])), "sampling variances"),
+    (lambda: PosteriorPredictive(math.nan, 0.0, 1.0, 1.0, 1.0), "posterior predictive parameters"),
+    (lambda: g_map(0.0, 0.0, 3, mu=0.0, tau2=math.nan), "tau2"),
+    (lambda: g_map(0.0, 0.0, 1, mu=0.0, tau2=math.inf), "tau2"),
+], ids=["tau2_j", "sigma2_hat_j", "conditional_sigma2", "conditional_eta2", "ab_loglik",
+        "eb_variances", "mean_model_d", "posterior_predictive", "g_map_nan", "g_map_n1_diffuse"])
+def test_nan_parameters_are_value_errors(call, name):
+    """Each ``x <= 0`` guard let NaN through; ``g_map`` failed an ``assert`` (gone under -O)."""
+    with pytest.raises(ValueError, match=name):
+        call()
