@@ -97,7 +97,8 @@ def _t_cdf(x: float, df: float) -> float:
     if x == 0.0:
         return 0.5
     z = df / (df + x * x)
-    tail = 0.5 * betainc(df / 2.0, 0.5, z)
+    # A Python float: the Newton step may divide it by an underflowed density.
+    tail = 0.5 * float(betainc(df / 2.0, 0.5, z))
     return tail if x < 0.0 else 1.0 - tail
 
 
@@ -162,11 +163,9 @@ def dta_g(y_i: float, sample_sum: float, n: int) -> float:
     With ``m`` the mean of the sample augmented by the candidate ``x``,
     the candidates tying observation ``i``'s distance score are ``y_i``
     itself and ``(2*S - (n+1)*y_i) / (n-1)``, where ``S`` is the sum of
-    the observed sample.
+    the observed sample; this is the zero-precision FAB reflection (``n >= 2``).
     """
-    if n < 2:
-        raise ValueError("dta_g requires n >= 2")
-    return _reflect(y_i, sample_sum, n + 1.0)
+    return _reflect(y_i, sample_sum, n, 0.0, 0.0)
 
 
 def dta_interval(sample: Sequence[float] | np.ndarray, alpha: float) -> PredictionInterval:

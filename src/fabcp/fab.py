@@ -55,13 +55,22 @@ class SubRegion:
             raise ValueError("sub-region bounds out of order")
 
 
-def _reflect(y_i: float | np.ndarray, s_prior: float | np.ndarray, c: float) -> float | np.ndarray:
-    """Reflection of ``y_i`` with fixed point ``s_prior / (c - 1)``, elementwise.
+def _reflect(y: float | np.ndarray, sums: float | np.ndarray, n: int, mu: float, precision: float):
+    """Reflection of ``y`` about ``(mu * precision + sums) / (precision + n)``, elementwise.
 
-    ``s_prior`` is the precision-weighted prior mean plus the sample sum
-    and ``c = precision + n + 1``.
+    The only code that builds it and checks its prior, by rules NaN fails: ``mu`` finite,
+    ``precision`` finite and >= 0, and ``c - 2 > 0`` for ``c = precision + n + 1`` (the
+    diffuse prior needs ``n >= 2``; at ``n = 1``, ``precision + 2`` must not round to 2).
     """
-    return (2.0 * s_prior - c * y_i) / (c - 2.0)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not 0.0 <= precision < math.inf:
+        raise ValueError(f"precision must be finite and nonnegative, got {precision}")
+    c = precision + (n + 1.0)
+    if not c - 2.0 > 0.0:
+        raise ValueError("the diffuse prior requires n >= 2, and n = 1 needs 1/tau2 + 2 > 2; "
+                         f"got n = {n}, precision = {precision}")
+    return (2.0 * (mu * precision + sums) - c * y) / (c - 2.0)
 
 
 def reflect_bounds(
@@ -76,11 +85,11 @@ def reflect_bounds(
     sums : float or ndarray, shape (rows, 1)
         The row sums of ``samples``, as the caller computes them.
     mu, precision : float
-        Prior mean and prior precision ``1/tau2``; ``precision = 0`` is
-        the diffuse prior (the distance-to-average reflection) and needs
-        ``n >= 2``.
+        Prior mean and prior precision ``1/tau2`` (0: the diffuse, distance-to-average
+        reflection), checked at ``k = 0`` too by the rules of ``_reflect``: ``mu``
+        finite, ``precision`` finite and >= 0, ``precision + n - 1 > 0``.
     k : int
-        Rank cutoff ``floor(alpha*(n+1))``.
+        Rank cutoff ``floor(alpha*(n+1))``, in ``[0, n]``.
 
     Returns
     -------
@@ -89,14 +98,14 @@ def reflect_bounds(
         per row; ``-inf``/``+inf`` rows when ``k = 0``.
     """
     rows, n = samples.shape
-    if precision == 0.0 and n < 2:
-        raise ValueError("the diffuse prior requires n >= 2")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n] = [0, {n}], got {k}")
     if k == 0:
-        # Every candidate's own score already satisfies <=, so the region
-        # with k = 0 accepts the whole real line.
+        # Every candidate's own score already satisfies <=, so the region with
+        # k = 0 accepts the whole real line; reflecting a scalar checks the prior.
+        _reflect(0.0, 0.0, n, mu, precision)
         return np.full((rows, 2), (-np.inf, np.inf))
-    c = precision + (n + 1.0)
-    v = np.concatenate([samples, _reflect(samples, mu * precision + sums, c)], axis=1)
+    v = np.concatenate([samples, _reflect(samples, sums, n, mu, precision)], axis=1)
     v.sort(axis=1)
     return v[:, [k - 1, 2 * n - k]]
 
@@ -113,7 +122,7 @@ def g_map(y_i: float, sample_sum: float, n: int, mu: float, tau2: float) -> floa
     n : int
         Sample size, at least 1.
     mu, tau2 : float
-        Prior mean and variance ratio; ``tau2 > 0``.
+        Prior mean and variance ratio; ``mu`` finite and ``tau2 > 0``.
 
     Notes
     -----
@@ -126,11 +135,7 @@ def g_map(y_i: float, sample_sum: float, n: int, mu: float, tau2: float) -> floa
         raise ValueError("n must be at least 1")
     if not tau2 > 0.0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
-    precision = 1.0 / tau2
-    c = precision + (n + 1.0)
-    if not c > 2.0:
-        raise ValueError(f"n = 1 needs 1/tau2 + 2 > 2, got tau2 = {tau2}")
-    return _reflect(y_i, mu * precision + sample_sum, c)
+    return _reflect(y_i, sample_sum, n, mu, 1.0 / tau2)
 
 
 def fab_interval_from_precision(
@@ -141,17 +146,13 @@ def fab_interval_from_precision(
 ) -> PredictionInterval:
     """Exact FAB interval parameterized by the prior precision ``1/tau2``.
 
-    ``precision = 0`` gives the diffuse prior (``mu`` is then irrelevant)
-    and requires ``n >= 2``; any positive precision works from ``n = 1``.
+    ``precision = 0`` gives the diffuse prior (``mu`` is then irrelevant but
+    finite) and requires ``n >= 2``; ``reflect_bounds`` checks the prior.
     """
     y = _as_sample(sample)
     n = y.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if precision < 0.0 or not math.isfinite(precision):
-        raise ValueError(f"precision must be finite and nonnegative, got {precision}")
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
     k = int(math.floor(alpha * (n + 1)))
     lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k)[0]
     return PredictionInterval(float(lower), float(upper), alpha, 1.0 - k / (n + 1), k=k)
@@ -176,7 +177,6 @@ def fab_interval(
 def sub_regions(sample: Sequence[float] | np.ndarray, params: WorkingModelParams) -> list[SubRegion]:
     """Per-observation acceptance intervals ``[min(y_i, g(y_i)), max(y_i, g(y_i))]``."""
     y = _as_sample(sample)
-    precision = 1.0 / params.tau2
-    g = _reflect(y, params.mu * precision + fsum(y), precision + (y.size + 1.0))
+    g = _reflect(y, fsum(y), y.size, params.mu, 1.0 / params.tau2)
     lo, hi = np.minimum(y, g).tolist(), np.maximum(y, g).tolist()
     return [SubRegion(index=i, lo=lo[i], hi=hi[i]) for i in range(y.size)]

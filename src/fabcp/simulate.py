@@ -22,6 +22,7 @@ the mean DTA width is zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -69,6 +70,11 @@ class SimConfig:
         for name in ("methods", "n_list", "theta_grid", "tau2_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        # A float seed would replay the stream of its integer part.
+        integers = [("seed", self.seed), ("replications", self.replications)]
+        for name, value in integers + [("n_list entry", n) for n in self.n_list]:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.alpha < 1.0:
@@ -216,14 +222,6 @@ def _transform(pop: str, theta: float, u: np.ndarray) -> np.ndarray:
 # -- batched interval bounds -----------------------------------------------------
 
 
-def _fab_bounds(samples: np.ndarray, mu: float, tau2: float, k: int) -> np.ndarray:
-    return reflect_bounds(samples, samples.sum(axis=1, keepdims=True), mu, 1.0 / tau2, k)
-
-
-def _dta_bounds(samples: np.ndarray, k: int) -> np.ndarray:
-    return reflect_bounds(samples, samples.sum(axis=1, keepdims=True), 0.0, 0.0, k)
-
-
 def _method_bounds(
     method: str,
     samples: np.ndarray,
@@ -238,10 +236,9 @@ def _method_bounds(
     """
     n = samples.shape[1]
     k = int(math.floor(alpha * (n + 1)))
-    if method == "fab":
-        return _fab_bounds(samples, mu, tau2, k)
-    if method == "dta":
-        return _dta_bounds(samples, k)
+    if method in ("fab", "dta"):
+        prior = (mu, 1.0 / tau2) if method == "fab" else (0.0, 0.0)
+        return reflect_bounds(samples, samples.sum(axis=1, keepdims=True), *prior, k)
     if method == "pivot_z":
         return pivot_bounds(samples, alpha, 1.0)
     if method == "pivot_t":

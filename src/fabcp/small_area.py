@@ -1068,9 +1068,11 @@ def generate_table(
         raise ValueError("invalid n_range")
     if not 0.0 <= eta2 < math.inf:
         raise ValueError(f"eta2 must be finite and nonnegative, got {eta2}")
-    for name, value in (("a", a), ("b", b)):
+    for name, value in (("a", a), ("b", b), ("extent", extent)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
 
     centroids = rng.uniform(0.0, extent, size=(J, 2))
     covariate = rng.normal(size=J)

@@ -13,7 +13,8 @@ import pytest
 
 import fabcp
 from fabcp.conformal import FABMeasure, default_grid, grid_region
-from fabcp.simulate import SimConfig, _fab_bounds
+from fabcp.fab import reflect_bounds
+from fabcp.simulate import SimConfig
 from fabcp.small_area import (
     ab_marginal_loglik,
     area_pipeline,
@@ -285,7 +286,9 @@ def test_criterion_11_pipeline_width_and_coverage():
         k = int(math.floor(alpha_j * (n_j + 1)))
         rng_j = np.random.default_rng(320_000 + j)
         draws = theta[j] + math.sqrt(sigma2[j]) * rng_j.normal(size=(reps, n_j + 1))
-        bounds = _fab_bounds(draws[:, :n_j], params.mu_j, params.tau2_j, k)
+        samples = draws[:, :n_j]
+        bounds = reflect_bounds(samples, samples.sum(axis=1, keepdims=True),
+                                params.mu_j, 1.0 / params.tau2_j, k)
         hit = (bounds[:, 0] <= draws[:, n_j]) & (draws[:, n_j] <= bounds[:, 1])
         level = 1.0 - alpha_j
         z = abs(float(hit.mean()) - level) / math.sqrt(level * alpha_j / reps)

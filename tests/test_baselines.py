@@ -1,10 +1,11 @@
 """Tests for the comparator interval methods and quantile routines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erfinv, ndtri
+from scipy.special import erfinv, ndtri, stdtrit
 from scipy.stats import t as student_t
 
 from fabcp.baselines import (
@@ -55,6 +56,15 @@ class TestStudentTQuantile:
         assert student_t_quantile(0.5, 7) == 0.0
         for p in (0.05, 0.3, 0.9):
             assert student_t_quantile(p, 4) == pytest.approx(-student_t_quantile(1 - p, 4), abs=1e-12)
+
+    def test_far_tail_is_warning_free(self):
+        """The Newton step divided a numpy residual by an underflowed t density: an overflow warning."""
+        p = 1.0 - 4.62e-12 / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = student_t_quantile(p, 28)
+            pivot_interval(np.arange(29.0), 4.62e-12)
+        assert q == pytest.approx(float(stdtrit(28, p)), rel=1e-12)
 
     def test_large_df_approaches_normal(self):
         for p in (0.025, 0.3, 0.875, 0.99):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,18 @@ class TestPredict:
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["lower"] <= payload["theta_tilde"] <= payload["upper"]
+
+    def test_vanishing_precision_at_one_value_is_one_error_line(self, tmp_path, capsys):
+        """1e-20 + 2 rounds to 2: a numpy divide warning, then "interval bounds must not be NaN"."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "predict", "--input", str(f), "--alpha", "0.6", "--precision", "1e-20",
+            )
+        assert (code, out, err) == (1, "", "error: the diffuse prior requires n >= 2, and n = 1 "
+                                           "needs 1/tau2 + 2 > 2; got n = 1, precision = 1e-20\n")
 
     def test_k_zero_warns_and_reports_infinite(self, tmp_path, capsys):
         f = tmp_path / "s.csv"

@@ -244,6 +244,26 @@ class TestReflectBounds:
             _assert_kernel_matches_scalar(samples, 0.3, precision, 0.1)
 
 
+_ROW = np.array([[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: reflect_bounds(_ROW, 6.0, math.nan, 1.0, 1), "mu"),
+    (lambda: reflect_bounds(_ROW, 6.0, 0.0, math.inf, 1), "precision"),
+    (lambda: reflect_bounds(_ROW, 6.0, 0.0, -1.0, 1), "precision"),
+    (lambda: reflect_bounds(_ROW, 6.0, 0.0, math.nan, 0), "precision"),
+    (lambda: reflect_bounds(_ROW, 6.0, 0.0, 1.0, 4), "k"),
+    (lambda: reflect_bounds(_ROW, 6.0, 0.0, 1.0, -1), "k"),
+    (lambda: fab_interval_from_precision([1.0], 0.0, 1e-20, 0.6), "precision"),
+    (lambda: sub_regions([1.0], WorkingModelParams(0.0, 1e17, 1.0, 1.0)), "precision"),
+], ids=["mu_nan", "precision_inf", "precision_negative", "precision_nan_k0", "k_above_n",
+        "k_negative", "n1_precision_vanishes", "sub_regions_n1_tau2_1e17"])
+def test_reflection_rules(call, name):
+    """These gave NaN, wrong or reversed bounds, the whole line, an IndexError or a numpy warning."""
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 class TestSubRegions:
     def test_symmetric_sample_gives_mirrored_regions(self):
         regions = sub_regions([-1.0, 1.0], WorkingModelParams(0.0, 1.0, 1.0, 1.0))

@@ -13,12 +13,10 @@ from fabcp.baselines import (
     pivot_bounds,
     pivot_interval,
 )
-from fabcp.fab import fab_interval
+from fabcp.fab import fab_interval, reflect_bounds
 from fabcp.simulate import (
     SimConfig,
     _cell_uniforms,
-    _dta_bounds,
-    _fab_bounds,
     _ratio_stats,
     bayes_risk_ratio,
     bounds_profile,
@@ -84,7 +82,8 @@ class TestBatchBounds:
         rng = np.random.default_rng(100)
         samples = rng.normal(size=(50, 5))
         params = WorkingModelParams(mu=0.4, tau2=0.7, a=1.0, b=1.0)
-        bounds = _fab_bounds(samples, params.mu, params.tau2, k=1)
+        bounds = reflect_bounds(samples, samples.sum(axis=1, keepdims=True),
+                                params.mu, 1.0 / params.tau2, k=1)
         for row, (lo, hi) in zip(samples, bounds):
             iv = fab_interval(row, params, 1.0 / 6.0 + 1e-12)
             assert lo == pytest.approx(iv.lower, rel=1e-12, abs=1e-12)
@@ -93,7 +92,7 @@ class TestBatchBounds:
     def test_dta_batch_matches_scalar(self):
         rng = np.random.default_rng(101)
         samples = rng.normal(size=(50, 4))
-        bounds = _dta_bounds(samples, k=1)
+        bounds = reflect_bounds(samples, samples.sum(axis=1, keepdims=True), 0.0, 0.0, k=1)
         for row, (lo, hi) in zip(samples, bounds):
             iv = dta_interval(row, 0.25)
             assert lo == pytest.approx(iv.lower, rel=1e-12, abs=1e-12)
@@ -283,6 +282,12 @@ class TestConfigValidation:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
                 SimConfig(seed=seed)
+        # A float seed replayed its integer part's stream; a float size failed inside numpy.
+        for name, value, message in [("seed", 1.5, "seed"), ("seed", math.nan, "seed"),
+                                     ("replications", 2.5, "replications"),
+                                     ("n_list", (3, 2.5), "n_list entry")]:
+            with pytest.raises(ValueError, match=f"^{message} must be an integer, got "):
+                SimConfig(**{name: value})
 
     def test_sample_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):

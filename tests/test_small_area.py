@@ -34,8 +34,7 @@ from fabcp.small_area import (
     _SarParts,
 )
 from fabcp.baselines import dta_interval
-from fabcp.fab import fab_interval_from_precision, g_map
-from fabcp.simulate import _fab_bounds
+from fabcp.fab import fab_interval_from_precision, g_map, reflect_bounds
 from fabcp.working_model import PosteriorPredictive
 
 
@@ -674,7 +673,9 @@ class TestAreaPipeline:
             k = int(math.floor(alpha_j * (n_j + 1)))
             rng_j = np.random.default_rng(77_000 + j)
             draws = theta[j] + rng_j.exponential(size=(reps, n_j + 1)) - 1.0
-            bounds = _fab_bounds(draws[:, :n_j], params.mu_j, params.tau2_j, k)
+            samples = draws[:, :n_j]
+            bounds = reflect_bounds(samples, samples.sum(axis=1, keepdims=True),
+                                    params.mu_j, 1.0 / params.tau2_j, k)
             hit = (bounds[:, 0] <= draws[:, n_j]) & (draws[:, n_j] <= bounds[:, 1])
             level = 1.0 - alpha_j
             assert hit.mean() >= level - 3.0 * math.sqrt(level * alpha_j / reps)
@@ -1048,14 +1049,19 @@ class TestGenerateTable:
         ("eta2", -1.0), ("eta2", math.nan), ("eta2", math.inf),
         ("a", 0.0), ("a", -2.0), ("a", math.nan), ("a", math.inf),
         ("b", 0.0), ("b", -1.0), ("b", math.nan), ("b", math.inf),
+        ("rho", 1.5), ("rho", math.nan), ("extent", math.nan), ("extent", 0.0),
     ])
     def test_invalid_model_parameter_rejected_before_any_draw(self, name, value):
-        """These failed with a message naming nothing ("shape < 0", "math domain error"), or drew a table."""
+        """These failed with a message naming nothing ("shape < 0", "math domain error"), or drew a table.
+
+        A bad rho was caught only after the centroids and covariate were drawn.
+        """
         rng = np.random.default_rng(86)
         state = rng.bit_generator.state
         args = dict(J=5, n_range=(2, 4), beta=[1.0, -0.5], eta2=0.4, rho=0.2, a=5.0, b=3.0)
         args[name] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite and (nonnegative|positive), got "):
+        rule = r"lie in \(-1, 1\)" if name == "rho" else "be finite and (nonnegative|positive)"
+        with pytest.raises(ValueError, match=f"^{name} must {rule}, got "):
             generate_table(**args, rng=rng)
         assert rng.bit_generator.state == state
 
@@ -1087,8 +1093,10 @@ def _conditional(**kw):
     (lambda: PosteriorPredictive(math.nan, 0.0, 1.0, 1.0, 1.0), "posterior predictive parameters"),
     (lambda: g_map(0.0, 0.0, 3, mu=0.0, tau2=math.nan), "tau2"),
     (lambda: g_map(0.0, 0.0, 1, mu=0.0, tau2=math.inf), "tau2"),
+    (lambda: g_map(0.0, 0.0, 3, mu=math.nan, tau2=1.0), "mu"),
 ], ids=["tau2_j", "sigma2_hat_j", "conditional_sigma2", "conditional_eta2", "ab_loglik",
-        "eb_variances", "mean_model_d", "posterior_predictive", "g_map_nan", "g_map_n1_diffuse"])
+        "eb_variances", "mean_model_d", "posterior_predictive", "g_map_nan", "g_map_n1_diffuse",
+        "g_map_mu_nan"])
 def test_nan_parameters_are_value_errors(call, name):
     """Each ``x <= 0`` guard let NaN through; ``g_map`` failed an ``assert`` (gone under -O)."""
     with pytest.raises(ValueError, match=name):
