@@ -95,7 +95,8 @@ def reflect_bounds(
     -------
     ndarray, shape (rows, 2)
         The k-th and (2n-k+1)-th order statistics of ``{y_i} U {g(y_i)}``
-        per row; ``-inf``/``+inf`` rows when ``k = 0``.
+        per row; ``-inf``/``+inf`` rows when ``k = 0``. A new array, not a
+        view: it holds ``2 * rows`` values, not the sorted ``(rows, 2n)`` pool.
     """
     rows, n = samples.shape
     if not 0 <= k <= n:
@@ -107,7 +108,9 @@ def reflect_bounds(
         return np.full((rows, 2), (-np.inf, np.inf))
     v = np.concatenate([samples, _reflect(samples, sums, n, mu, precision)], axis=1)
     v.sort(axis=1)
-    return v[:, [k - 1, 2 * n - k]]
+    # Columns k-1 and 2n-k by one strided slice, which costs less than a fancy index;
+    # the copy lets the pool go, where the simulator would otherwise keep it alive.
+    return v[:, k - 1:2 * n - k + 1:2 * (n - k) + 1].copy()
 
 
 def g_map(y_i: float, sample_sum: float, n: int, mu: float, tau2: float) -> float:
@@ -153,9 +156,9 @@ def fab_interval_from_precision(
     n = y.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    k = int(math.floor(alpha * (n + 1)))
-    lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k)[0]
-    return PredictionInterval(float(lower), float(upper), alpha, 1.0 - k / (n + 1), k=k)
+    k = math.floor(alpha * (n + 1))
+    lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k)[0].tolist()
+    return PredictionInterval(lower, upper, alpha, 1.0 - k / (n + 1), k=k)
 
 
 def fab_interval(

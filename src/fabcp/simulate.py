@@ -83,6 +83,10 @@ class SimConfig:
             raise ValueError(f"every sample size must be at least 1, got n_list={self.n_list}")
         if any(not t > 0.0 for t in self.tau2_list):
             raise ValueError("all tau2 values must be positive")
+        # The FAB prior precision is 1/tau2 (0 at tau2 = inf), which must not overflow.
+        for t in self.tau2_list:
+            if 1.0 / t == math.inf:
+                raise ValueError(f"tau2 must be large enough that 1/tau2 is finite, got {t!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if not all(math.isfinite(t) for t in self.theta_grid):

@@ -489,6 +489,20 @@ class TestSimulateCommand:
         assert (code, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
+    def test_tau2_with_overflowing_precision_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """This ran the tau2 = 0.5 cells, then exited 1 on 'precision must be finite ... got inf'."""
+        draws = []
+        monkeypatch.setattr("fabcp.simulate._cell_uniforms", lambda *args: draws.append(args))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", "expected-width", "--tau2-list", "0.5,1e-320",
+            "--n-list", "3", "--replications", "50", "--output", str(out),
+        )
+        message = "error: tau2 must be large enough that 1/tau2 is finite, got 1e-320\n"
+        assert (code, stdout, err) == (1, "", message)
+        assert draws == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_is_one_error_line(self, tmp_path, capsys, seed):
         """These ran, each with the stream of another seed."""

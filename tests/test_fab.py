@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fabcp.baselines import dta_interval
 from fabcp.conformal import FABMeasure, default_grid, grid_region
 from fabcp.fab import (
+    _reflect,
     fab_interval,
     fab_interval_from_precision,
     g_map,
@@ -243,6 +244,26 @@ class TestReflectBounds:
         for precision in (0.0, 2.0):
             _assert_kernel_matches_scalar(samples, 0.3, precision, 0.1)
 
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_selection_oracle(self, rows):
+        """Every (n, k): columns k-1 and 2n-k of the sorted pool, in a compact (rows, 2) array."""
+        rng = np.random.default_rng(rows)
+        mu, precision = 0.3, 1.5
+        for n in range(1, 41):
+            samples = np.round(rng.normal(size=(rows, n)) * 3.0, 1)  # ties included
+            sums = samples.sum(axis=1, keepdims=True)
+            pool = np.sort(np.concatenate([samples, _reflect(samples, sums, n, mu, precision)],
+                                          axis=1), axis=1)
+            for k in range(n + 1):
+                b = reflect_bounds(samples, sums, mu, precision, k)
+                assert b.shape == (rows, 2)
+                # A view of the sorted pool would keep all 2n columns alive.
+                assert (b.base if b.base is not None else b).size == 2 * rows
+                expected = [(-math.inf, math.inf) if k == 0 else (p[k - 1], p[2 * n - k])
+                            for p in pool.tolist()]
+                assert [_bits(lo, hi) for lo, hi in b.tolist()] == [
+                    _bits(lo, hi) for lo, hi in expected]
+
 
 _ROW = np.array([[1.0, 2.0, 3.0]])
 
@@ -262,6 +283,33 @@ def test_reflection_rules(call, name):
     """These gave NaN, wrong or reversed bounds, the whole line, an IndexError or a numpy warning."""
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("container", [list, np.array])
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_rejected_on_every_path(bad, position, container):
+    values = [0.5, -1.0, 2.0, 0.25, 1.5]
+    values[position] = bad
+    sample = container(values)
+    params = WorkingModelParams(0.3, 0.5, 1.0, 1.0)
+    for call in (lambda: fab_interval_from_precision(sample, 0.3, 2.0, 0.25),
+                 lambda: dta_interval(sample, 0.25),
+                 lambda: posterior_mean_theta(sample, params)):
+        with pytest.raises(ValueError, match="^sample contains non-finite values$"):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
+def test_endpoints_are_python_floats(alpha):
+    """Including the unbounded interval at k = 0 (n = 5, alpha = 0.1)."""
+    sample = np.array([0.5, -1.0, 2.0, 0.25, 1.5])
+    for iv in (fab_interval_from_precision(sample, 0.3, 2.0, alpha),
+               fab_interval_from_precision(sample.tolist(), 0.3, 0.0, alpha),
+               dta_interval(sample, alpha)):
+        assert type(iv.lower) is float and type(iv.upper) is float
+        assert type(iv.achieved_level) is float and type(iv.k) is int
+    assert type(posterior_mean_theta(sample, WorkingModelParams(0.3, 0.5, 1.0, 1.0))) is float
 
 
 class TestSubRegions:

@@ -293,6 +293,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(n_list=(3, 0))
 
+    @pytest.mark.parametrize("tau2", [1e-320, 5e-324, 5e-309])
+    def test_tau2_with_overflowing_precision_rejected(self, monkeypatch, tau2):
+        """These ran the tau2 = 0.5 cells, then failed on 'precision ... got inf'."""
+        draws = []
+        monkeypatch.setattr("fabcp.simulate._cell_uniforms", lambda *args: draws.append(args))
+        message = f"^tau2 must be large enough that 1/tau2 is finite, got {tau2!r}$"
+        with pytest.raises(ValueError, match=message):
+            expected_width(SimConfig(tau2_list=(0.5, tau2), replications=50))
+        with pytest.raises(ValueError, match=message):
+            bayes_risk_ratio((3,), (0.5, tau2), 0.25, 50, 1)
+        assert draws == []
+
+    def test_tau2_just_above_the_overflow_edge_accepted(self):
+        tau2 = 5.6e-309
+        assert math.isfinite(1.0 / tau2)
+        assert SimConfig(tau2_list=(tau2, math.inf)).tau2_list == (tau2, math.inf)
+
     @pytest.mark.parametrize("name, value, message", [
         ("mu", math.nan, "mu must be finite"),
         ("mu", -math.inf, "mu must be finite"),
