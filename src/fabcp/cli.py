@@ -7,8 +7,7 @@ line number), an input with no data rows, or finite sample values whose
 sum overflows (two values of 1e308 in one sample), 3 rank-deficient
 covariate matrix. Every error is one ``error:`` line on stderr, and a
 failed run leaves its output paths as they were. Rows whose fields are
-all blank are skipped in every input CSV. ``simulate --experiment
-bounds`` takes exactly one n and one tau2.
+all blank are skipped in every input CSV.
 """
 
 from __future__ import annotations
@@ -284,8 +283,6 @@ def _sim_config(args: argparse.Namespace) -> simulate.SimConfig:
             values[key] = _SIM_FIELDS[key](text)
         except ValueError:
             raise ValueError(f"{key}: cannot parse {text!r}") from None
-    if args.experiment == "bounds" and (len(values["n_list"]), len(values["tau2_list"])) != (1, 1):
-        raise ValueError("bounds takes exactly one n and one tau2")
     return simulate.SimConfig(**values)
 
 
@@ -302,10 +299,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             mu=config.mu,
         )
     else:
-        report = simulate.bounds_profile(
-            config.theta_grid, config.n_list[0], config.mu, config.tau2_list[0], config.alpha,
-            config.replications, config.seed,
-        )
+        report = simulate.bounds_profile(config)
     report.to_csv(args.output)
     return 0
 
@@ -376,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("expected-width", "bayes-risk", "coverage", "bounds"))
     p.add_argument("--config", default=None, help="optional key=value defaults file")
     for name in _SIM_FIELDS:
-        p.add_argument("--" + name.replace("_", "-"))
+        p.add_argument("--" + name.replace("_", "-"), help=(
+            "comma-separated; a negative first value needs the = form, --theta-grid=-1,0,2"
+            if name == "theta_grid" else None))
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -384,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, required=True)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--beta", default="0,0", help="comma-separated intercept and slope")
+    p.add_argument("--beta", default="0,0", help="comma-separated intercept and slope; "
+                   "a negative intercept needs the = form, --beta=-1,0.5")
     p.add_argument("--eta2", type=float, default=0.5)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--a", type=float, default=6.0)

@@ -12,11 +12,10 @@ stream.
 
 Each experiment is a list of cells and a draw rule, run by one loop; cell
 i draws from stream ``(seed, i)``. Cells run n first, then tau2, then
-theta. ``bayes_risk_ratio`` has (n, tau2) cells, and ``bounds_profile``
-one cell per theta. ``bayes_risk_ratio`` draws ``theta ~ N(mu, tau2)``,
-so it rejects an infinite tau2, which the other experiments take as the
-diffuse prior. The ``fab/dta`` row is NaN when a width is infinite or
-the mean DTA width is zero.
+theta. ``bayes_risk_ratio`` has (n, tau2) cells and draws
+``theta ~ N(mu, tau2)``, so it rejects an infinite tau2, which the other
+experiments take as the diffuse prior. The ``fab/dta`` row is NaN when a
+width is infinite or the mean DTA width is zero.
 """
 
 from __future__ import annotations
@@ -393,17 +392,6 @@ def coverage_experiment(config: SimConfig) -> SimReport:
     return _sweep(config, _grid(config), 1, _population_draws)
 
 
-def bounds_profile(
-    theta_grid: Sequence[float],
-    n: int,
-    mu: float,
-    tau2: float,
-    alpha: float,
-    replications: int,
-    seed: int,
-) -> SimReport:
-    """Monte Carlo mean interval endpoints of FAB and DTA across theta, by SimConfig's rules."""
-    config = SimConfig(methods=("fab", "dta"), n_list=(n,), alpha=alpha,
-                       theta_grid=tuple(theta_grid), mu=mu, tau2_list=(tau2,),
-                       replications=replications, seed=seed)
+def bounds_profile(config: SimConfig) -> SimReport:
+    """Monte Carlo mean interval endpoints of each method over (n, tau2, theta) cells."""
     return _sweep(config, _grid(config), 0, _population_draws, endpoints=True)

@@ -104,6 +104,10 @@ class AreaTable:
             raise ValueError("need at least two areas")
         if len(set(self.ids)) != J:
             raise ValueError("area ids must be distinct")
+        for name, value in [("X", self.X), ("centroids", self.centroids)] + [
+                ("samples entry", y) for y in self.samples]:
+            if not isinstance(value, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(value).__name__}")
         if self.X.ndim != 2:
             raise ValueError("X must be a (J, p) matrix")
         if self.centroids.ndim != 2 or self.centroids.shape[1] != 2:
@@ -264,8 +268,8 @@ def _sums_of_squares(
     A ``fit`` also needs two masked areas, the fewest an (a, b) fit can use.
     """
     s2, n = np.asarray(s2, dtype=float), np.asarray(n)
-    if s2.shape != n.shape:
-        raise ValueError("s2 and n must have the same shape")
+    if s2.ndim != 1 or s2.shape != n.shape:
+        raise ValueError(f"s2 and n must have the same shape, one-dimensional; got {s2.shape} and {n.shape}")
     keep = n >= 2
     if fit and np.count_nonzero(keep) < 2:
         raise ValueError("need at least two areas with n >= 2")
@@ -811,6 +815,9 @@ def conditional_params(
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.size != J - 1:
         raise ValueError(f"theta_hat must have J-1={J-1} entries, got {theta_hat.size}")
+    if np.shape(X) != (J, *np.shape(beta_hat)):
+        raise ValueError(f"X must have shape (J, p) = {(J, *np.shape(beta_hat))} to match W and "
+                         f"beta_hat, got {np.shape(X)}")
     if not sigma2_hat_j > 0.0:
         raise ValueError("sigma2_hat_j must be positive")
     if not -1.0 < rho_hat < 1.0:

@@ -287,7 +287,7 @@ class TestSmallArea:
     def test_unknown_area_id_exits_two(self, dataset, tmp_path, capsys):
         areas, samples = dataset
         bad = tmp_path / "bad_samples.csv"
-        bad.write_text(open(samples).read() + "ghost,1.0\n")
+        bad.write_text(Path(samples).read_text() + "ghost,1.0\n")
         code, _, err = run_cli(
             capsys, "small-area", "--areas", areas, "--samples", str(bad),
             "--output", str(tmp_path / "x.csv"),
@@ -299,7 +299,7 @@ class TestSmallArea:
         """An area holding two values of 1e308 used to end in an OverflowError traceback."""
         areas, samples = dataset
         big = tmp_path / "big_samples.csv"
-        big.write_text(open(samples).read() + "area000,1e308\narea000,1e308\n")
+        big.write_text(Path(samples).read_text() + "area000,1e308\narea000,1e308\n")
         keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
         keep.write_text("previous results\n")
         for path in (keep, new):
@@ -418,17 +418,41 @@ class TestSimulateCommand:
         assert header.endswith("mean_lower,mean_upper")
 
 
-    @pytest.mark.parametrize("lists", [("--tau2-list", ","), ("--n-list", "3,7")])
-    def test_bounds_needs_one_n_and_one_tau2(self, tmp_path, capsys, monkeypatch, lists):
-        """An empty list raised IndexError; a second value was dropped silently."""
-        monkeypatch.setattr(cli.simulate, "bounds_profile", _no_work)
+    def test_bounds_reads_every_setting(self, tmp_path, capsys):
+        """This exited 1 on its two n; one n wrote normal-population fab and dta rows only."""
         out = tmp_path / "bounds.csv"
+        methods = ("fab", "dta", "pivot_z", "pivot_t", "eb")
         code, _, err = run_cli(
-            capsys, "simulate", "--experiment", "bounds", *lists, "--output", str(out),
+            capsys, "simulate", "--experiment", "bounds", "--n-list", "3,7", "--tau2-list", "0.5,2",
+            "--theta-grid", "0,2", "--methods", ",".join(methods), "--population", "mixture",
+            "--replications", "200", "--output", str(out),
         )
-        assert code == 1
-        assert err.startswith("error: bounds takes exactly one n and one tau2") and err.count("\n") == 1
-        assert not out.exists()
+        assert (code, err) == (0, "")
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(n, t2, th) for n in ("3", "7") for t2 in ("0.5", "2") for th in ("0", "2")]
+        assert [(r["n"], r["tau2"], r["theta_minus_mu"], r["method"]) for r in rows] == [
+            cell + (m,) for cell in cells for m in methods
+        ]
+        bounds = [(float(r["mean_lower"]), float(r["mean_upper"])) for r in rows]
+        assert all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds)
+
+    def test_negative_list_takes_the_equals_form(self, tmp_path, capsys):
+        """argparse reads '-1,0,2' after a space as a flag; after '=' it is the value."""
+        out = tmp_path / "bounds.csv"
+        argv = ["simulate", "--experiment", "bounds", "--replications", "50", "--output", str(out)]
+        code, _, err = run_cli(capsys, *argv, "--theta-grid=-1,0,2")
+        assert (code, err) == (0, "")
+        with open(out, newline="") as fh:
+            assert [r["theta_minus_mu"] for r in csv.DictReader(fh)] == ["-1", "-1", "0", "0", "2", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--theta-grid", "-1,0,2"])
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "gen-data", "--J", "6", "--beta=-1,0.5",
+                               "--out-prefix", str(tmp_path / "d"))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "d_truth.json").read_text())["beta"] == [-1.0, 0.5]
 
     @pytest.mark.parametrize("where, setting", [("config", "alpha"), ("flag", "replications")])
     def test_unparsable_setting_is_one_error_line(self, tmp_path, capsys, where, setting):
@@ -566,6 +590,37 @@ def test_blank_rows_are_skipped_in_every_input(tmp_path, capsys):
     np.testing.assert_array_equal(got[1].centroids, want[1].centroids)
     for a, b in zip(got[1].samples, want[1].samples):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["header", "ragged_row", "area_without_samples",
+                                  "negative_precision", "config_line"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, case):
+    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
+    assert code == 0
+    values, samples, cfg = tmp_path / "s.csv", tmp_path / "d_samples.csv", tmp_path / "sweep.cfg"
+    write_values(values, [1.0, 2.0])
+    predict = ["predict", "--input", str(values), "--tau2", "1", "--alpha", "0.25"]
+    if case == "header":
+        values.write_text("val\n1.0\n")
+        argv, want = predict, (2, f"{values}:1: expected a single 'value' column header")
+    elif case == "ragged_row":
+        values.write_text("value\n1.0\n2.0,3.0\n")
+        argv, want = predict, (2, f"{values}:3: expected 1 columns, found 2")
+    elif case == "area_without_samples":
+        lines = samples.read_text().splitlines(keepends=True)
+        samples.write_text("".join(line for line in lines if not line.startswith("area003,")))
+        argv = ["small-area", "--areas", str(tmp_path / "d_areas.csv"), "--samples", str(samples)]
+        want = (2, f"{samples}:1: area 'area003' has no samples")
+    elif case == "negative_precision":
+        argv = ["predict", "--input", str(values), "--precision", "-1", "--alpha", "0.25"]
+        want = (1, "--precision must be nonnegative")
+    else:
+        cfg.write_text("seed=1\nn_list 3\n")
+        argv = ["simulate", "--experiment", "coverage", "--config", str(cfg),
+                "--output", str(tmp_path / "x.csv")]
+        want = (2, f"{cfg}:2: expected key=value")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (want[0], "", f"error: {want[1]}\n")
 
 
 @pytest.mark.parametrize("command", ["small-area", "simulate"])

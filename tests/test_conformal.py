@@ -117,6 +117,20 @@ class TestGridRegion:
         with pytest.raises(ValueError, match="degenerate grid"):
             GridSpec(1.0, 1.0, 101)
 
+    @pytest.mark.parametrize("lo, hi, num, message", [
+        (-math.inf, 1.0, 11, "grid bounds must be finite"),
+        (0.0, math.nan, 11, "grid bounds must be finite"),
+        (0.0, 1.0, 1, "grid needs at least two points"),
+    ])
+    def test_invalid_grid_rejected(self, lo, hi, num, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(lo, hi, num)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)"):
+            grid_region([0.0, 1.0], DTAMeasure(), alpha, GridSpec(-1.0, 1.0, 11))
+
     def test_region_is_count_exceeding_k(self):
         # n = 4, alpha = 0.2: k = floor(1.0) = 1, region is where count > 1
         rng = np.random.default_rng(13)

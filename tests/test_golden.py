@@ -63,7 +63,8 @@ def _sim_report(name: str):
     if name == "bayes_risk":
         return bayes_risk_ratio((3, 11), (0.25, 4.0), 0.25, 1500, 44, mu=0.5)
     # 40 000 replications: the endpoint means span two summation blocks.
-    return bounds_profile((-1.0, 0.0, 2.5), 4, 0.3, 0.7, 0.2, 40_000, 45)
+    return bounds_profile(SimConfig(n_list=(4,), alpha=0.2, theta_grid=(-1.0, 0.0, 2.5), mu=0.3,
+                                    tau2_list=(0.7,), replications=40_000, seed=45))
 
 
 @pytest.mark.parametrize("name", sorted(SIM_DIGESTS))

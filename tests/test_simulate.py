@@ -218,8 +218,7 @@ class TestCoverageExperiment:
 
 class TestBoundsProfile:
     def test_profile_geometry(self):
-        rep = bounds_profile((-1.5, 0.0, 1.5), n=3, mu=0.0, tau2=0.5,
-                             alpha=0.25, replications=4000, seed=91)
+        rep = bounds_profile(SimConfig(theta_grid=(-1.5, 0.0, 1.5), replications=4000, seed=91))
         assert [r.method for r in rep.rows] == ["fab", "dta"] * 3  # no fab/dta row
         assert all(math.isfinite(r.mean_lower) and math.isfinite(r.mean_upper) for r in rep.rows)
         for theta in (-1.5, 0.0, 1.5):
@@ -256,8 +255,7 @@ class TestReportSerialization:
         assert rows[0]["inf_width_count"] == "50"
 
     def test_endpoint_columns_for_bounds(self, tmp_path):
-        rep = bounds_profile((0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25,
-                             replications=100, seed=12)
+        rep = bounds_profile(SimConfig(replications=100, seed=12))
         out = tmp_path / "bounds.csv"
         rep.to_csv(str(out))
         header = out.read_text().splitlines()[0]
@@ -328,19 +326,8 @@ class TestConfigValidation:
             SimConfig(**{name: ()})
 
 
-_RULES = [
-    ("alpha", 1.5, "alpha must lie in"),
-    ("replications", 0, "replications must be at least 1"),
-    ("tau2", 0.0, "tau2 values must be positive"),
-    ("tau2", -1.0, "tau2 values must be positive"),
-    ("n", 0, "sample size must be at least 1"),
-]
-# Appended after each test's own cases, so the index-based ids of those stay put.
-_SEED_RULES = [("seed", -1, "seed must lie in"), ("seed", 2**64, "seed must lie in")]
-
-
 class TestSweepArguments:
-    """``bayes_risk_ratio`` and ``bounds_profile`` follow SimConfig's rules before any draw."""
+    """``bayes_risk_ratio`` follows SimConfig's rules before any draw."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -349,30 +336,25 @@ class TestSweepArguments:
                             lambda *args: calls.append(args) or _cell_uniforms(*args))
         return calls
 
-    @pytest.mark.parametrize("name, value, message", _RULES + [
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 1.5, "alpha must lie in"),
+        ("replications", 0, "replications must be at least 1"),
+        ("tau2", 0.0, "tau2 values must be positive"),
+        ("tau2", -1.0, "tau2 values must be positive"),
+        ("n", 0, "sample size must be at least 1"),
         ("n_list", (), "n_list must not be empty"),
         ("tau2_grid", (), "tau2_list must not be empty"),
         ("mu", math.nan, "mu must be finite"),
         ("tau2", math.inf, "tau2 values must be finite"),
-    ] + _SEED_RULES)
+        ("seed", -1, "seed must lie in"),
+        ("seed", 2**64, "seed must lie in"),
+    ])
     def test_bayes_risk_ratio(self, draws, name, value, message):
         args = dict(n_list=(3,), tau2_grid=(0.5,), alpha=0.25, replications=50, seed=1)
         lists = {"n": "n_list", "tau2": "tau2_grid"}  # scalar rules apply to each list entry
         args[lists.get(name, name)] = (value,) if name in lists else value
         with pytest.raises(ValueError, match=message):
             bayes_risk_ratio(**args)
-        assert draws == []
-
-    @pytest.mark.parametrize("name, value, message", _RULES + [
-        ("theta_grid", (), "theta_grid must not be empty"),
-        ("mu", math.inf, "mu must be finite"),
-        ("theta_grid", (0.0, math.nan), "theta_grid values must be finite"),
-    ] + _SEED_RULES)
-    def test_bounds_profile(self, draws, name, value, message):
-        args = dict(theta_grid=(0.0,), n=3, mu=0.0, tau2=0.5, alpha=0.25, replications=50, seed=1)
-        args[name] = value
-        with pytest.raises(ValueError, match=message):
-            bounds_profile(**args)
         assert draws == []
 
 
@@ -383,7 +365,7 @@ class TestLargeSampleSizes:
         assert expected_width(SimConfig(n_list=(40,), replications=8)).rows
         assert coverage_experiment(SimConfig(n_list=(40,), replications=8)).rows
         assert bayes_risk_ratio((40,), (0.5,), 0.25, 8, 0).rows
-        assert bounds_profile((0.0,), 40, 0.0, 0.5, 0.25, 8, 0).rows
+        assert bounds_profile(SimConfig(n_list=(40,), replications=8)).rows
 
     def test_conformal_coverage_exact_at_n_40(self):
         n, alpha, reps = 40, 0.25, 20_000

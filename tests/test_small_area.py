@@ -35,7 +35,7 @@ from fabcp.small_area import (
 )
 from fabcp.baselines import dta_interval
 from fabcp.fab import fab_interval_from_precision, g_map, reflect_bounds
-from fabcp.working_model import PosteriorPredictive
+from fabcp.working_model import PosteriorPredictive, WorkingModelParams
 
 
 def _random_weights(rng, J):
@@ -316,6 +316,15 @@ class TestLockstepNelderMead:
             assert str(fits[j]) == reason
             assert [v.hex() for v in fits[j].best_point] == [v.hex() for v in best]
 
+    def test_stalled_search_raises_with_its_best_point(self):
+        """``estimate_ab`` raises the row's error; this one stalls on the log a = 7 edge."""
+        table = _seed902_table([1.0, 1.0])
+        with pytest.raises(EstimationError, match="Maximum number of function evaluations") as exc:
+            estimate_ab(*_loo_problem(table, table.ids.index("area007")))
+        a_hat, b_hat = exc.value.best_point
+        assert a_hat == math.exp(7.0)
+        assert b_hat == pytest.approx(940.0260787170208, rel=1e-12)
+
     def test_rows_equal_estimate_ab(self):
         """Row j of the batched fit is ``estimate_ab`` over the other areas."""
         table = _singles_table()
@@ -413,6 +422,23 @@ class TestEBVariances:
 
 
 class TestFitMeanModel:
+    def test_every_rho_failing_is_a_fallback_reason(self, monkeypatch, caplog, one_cpu):
+        """No candidate rho gives a profile: the fit raises, and the pipeline names why it fell back."""
+        def no_profile(rho, parts):
+            raise ValueError(f"(I - rho W) is numerically singular at rho={rho}")
+
+        monkeypatch.setattr(small_area, "_RhoProfile", no_profile)
+        reason = "no candidate rho admits a positive-definite covariance"
+        W = sq_exp_weights([(0, 0), (1, 0), (0, 1), (1, 1)])
+        with pytest.raises(EstimationError, match=f"^{reason}$"):
+            fit_mean_model(np.arange(4.0), np.ones(4), np.ones((4, 1)), W)
+        table, _ = TestAreaPipeline._table()
+        with caplog.at_level(logging.WARNING, logger="fabcp.small_area"):
+            records = area_pipeline(table, "exact", ("fab",))
+        assert [r.fallback for r in records] == [True] * table.J
+        assert [m.getMessage() for m in caplog.records] == [
+            f"area {area}: falling back to DTA ({reason})" for area in table.ids]
+
     def test_no_heterogeneity_limit(self):
         rng = np.random.default_rng(42)
         table, _ = generate_table(J=100, n_range=(10, 20), beta=[1.0, 0.5],
@@ -1094,10 +1120,78 @@ def _conditional(**kw):
     (lambda: g_map(0.0, 0.0, 3, mu=0.0, tau2=math.nan), "tau2"),
     (lambda: g_map(0.0, 0.0, 1, mu=0.0, tau2=math.inf), "tau2"),
     (lambda: g_map(0.0, 0.0, 3, mu=math.nan, tau2=1.0), "mu"),
+    (lambda: _conditional(rho_hat=math.nan), "rho"),
+    (lambda: WorkingModelParams(math.nan, 1.0, 1.0, 1.0), "mu"),
+    (lambda: WorkingModelParams(0.0, math.nan, 1.0, 1.0), "tau2"),
 ], ids=["tau2_j", "sigma2_hat_j", "conditional_sigma2", "conditional_eta2", "ab_loglik",
         "eb_variances", "mean_model_d", "posterior_predictive", "g_map_nan", "g_map_n1_diffuse",
-        "g_map_mu_nan"])
+        "g_map_mu_nan", "conditional_rho_nan", "working_model_mu_nan", "working_model_tau2_nan"])
 def test_nan_parameters_are_value_errors(call, name):
     """Each ``x <= 0`` guard let NaN through; ``g_map`` failed an ``assert`` (gone under -O)."""
     with pytest.raises(ValueError, match=name):
+        call()
+
+
+def _table_fields(**kw):
+    fields = dict(ids=["a", "b", "c"], samples=[np.array([1.0, 2.0]), np.array([0.5]), np.array([3.0])],
+                  X=np.ones((3, 1)), centroids=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    return {**fields, **kw}
+
+
+def _generate(**kw):
+    args = dict(J=5, n_range=(2, 4), beta=[1.0, 0.5], eta2=0.4, rho=0.2, a=5.0, b=3.0)
+    return generate_table(**{**args, **kw}, rng=np.random.default_rng(0))
+
+
+_W4 = sq_exp_weights([(0, 0), (1, 0), (0, 1), (1, 1)])
+_S2_2D, _N_2D = np.ones((2, 2)), np.full((2, 2), 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _conditional(X=np.ones((3, 1))), r"^X must have shape \(J, p\) = \(4, 1\) .*got \(3, 1\)$"),
+    (lambda: _conditional(beta_hat=np.array([0.5, 1.0])), r"^X must have shape \(J, p\) = \(4, 2\)"),
+    (lambda: estimate_ab(_S2_2D, _N_2D), r"one-dimensional; got \(2, 2\) and \(2, 2\)$"),
+    (lambda: ab_marginal_loglik(3.0, 2.0, _S2_2D, _N_2D), "one-dimensional"),
+    (lambda: eb_variances(3.0, 2.0, _S2_2D, _N_2D), "one-dimensional"),
+    (lambda: AreaTable(**_table_fields(samples=[[1.0, 2.0], [0.5], [3.0]])),
+     "^samples entry must be a numpy array, got list$"),
+    (lambda: AreaTable(**_table_fields(X=[[1.0], [1.0], [1.0]])), "^X must be a numpy array, got list$"),
+    (lambda: AreaTable(**_table_fields(centroids=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+     "^centroids must be a numpy array, got list$"),
+], ids=["conditional_X_rows", "conditional_beta_length", "estimate_ab_2d", "ab_loglik_2d",
+        "eb_variances_2d", "table_sample_list", "table_X_list", "table_centroids_list"])
+def test_mis_shaped_input_is_a_value_error(call, message):
+    """These used the wrong rows of X, flattened 2-D s2 and n, or raised AttributeError."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AreaTable(**_table_fields(ids=["a"], samples=[np.ones(2)], X=np.ones((1, 1)),
+                                       centroids=np.zeros((1, 2)))), "need at least two areas"),
+    (lambda: AreaTable(**_table_fields(samples=[np.ones(2), np.ones(2)])), "inconsistent area counts"),
+    (lambda: AreaTable(**_table_fields(samples=[np.ones((2, 1)), np.ones(1), np.ones(1)])),
+     "each area needs a finite, nonempty sample"),
+    (lambda: AreaTable(**_table_fields(samples=[np.ones(2), np.ones(0), np.ones(1)])),
+     "each area needs a finite, nonempty sample"),
+    (lambda: sar_covariance(0.5, np.zeros((2, 3))), "W must be square"),
+    (lambda: sar_covariance(0.5, np.full((2, 2), 0.5)), "W must have a zero diagonal"),
+    (lambda: sar_covariance(0.5, np.array([[0.0, 0.5], [0.5, 0.0]])), "rows of W must sum to 1"),
+    (lambda: sq_exp_weights([(0.0, 0.0)]), "need at least two"),
+    (lambda: fit_mean_model(np.zeros(3), np.ones(4), np.ones((4, 1)), _W4), "inconsistent dimensions"),
+    (lambda: fit_mean_model(np.zeros(4), np.ones(4), np.vander(np.arange(4.0), 3), _W4),
+     r"need at least p \+ 2 = 5 areas, got 4"),
+    (lambda: _conditional(j=4), "area index 4 out of range for J=4"),
+    (lambda: _conditional(theta_hat=np.zeros(4)), "theta_hat must have J-1=3 entries, got 4"),
+    (lambda: _conditional(rho_hat=1.0), r"rho must lie in \(-1, 1\), got 1.0"),
+    (lambda: _generate(J=1), "J must be at least 2"),
+    (lambda: _generate(beta=[1.0]), "beta must have length 2"),
+    (lambda: _generate(n_range=(0, 4)), "invalid n_range"),
+    (lambda: _generate(n_range=(4, 2)), "invalid n_range"),
+], ids=["table_one_area", "table_counts", "table_2d_sample", "table_empty_sample", "W_not_square",
+        "W_diagonal", "W_row_sums", "weights_one_centroid", "mean_model_lengths",
+        "mean_model_J_below_p_plus_2", "conditional_j", "conditional_theta_size", "conditional_rho",
+        "generate_J", "generate_beta", "generate_n_below_1", "generate_n_reversed"])
+def test_guarded_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
         call()

@@ -108,6 +108,10 @@ class TestPosteriorParams:
         with pytest.raises(ValueError):
             posterior_params([1.0, math.nan], WorkingModelParams(0.0, 1.0, 1.0, 1.0))
 
+    def test_two_dimensional_sample_rejected(self):
+        with pytest.raises(ValueError, match=r"^sample must be one-dimensional, got shape \(2, 1\)$"):
+            posterior_params(np.ones((2, 1)), WorkingModelParams(0.0, 1.0, 1.0, 1.0))
+
 
 class TestPredictiveDensity:
     def _random_pp(self, rng):
