@@ -198,7 +198,9 @@ def _check_weights(W: np.ndarray) -> None:
         raise ValueError("W must be square")
     if np.any(np.diag(W) != 0.0):
         raise ValueError("W must have a zero diagonal")
-    if not np.allclose(W.sum(axis=1), 1.0, atol=1e-12):
+    # A direct test, not np.allclose, whose default rtol would let row sums
+    # 1e-5 off through; a NaN row sum fails it too.
+    if not np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12):
         raise ValueError("rows of W must sum to 1")
 
 
@@ -215,8 +217,12 @@ def sq_exp_weights(centroids: Sequence[tuple[float, float]] | np.ndarray) -> np.
         raise ValueError("need at least two (cx, cy) centroids")
     if not np.all(np.isfinite(c)):
         raise ValueError("centroids must be finite")
-    d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
-    W = np.exp(-d2)
+    dx = c[:, None, 0] - c[None, :, 0]
+    dy = c[:, None, 1] - c[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    W = np.exp(-dx)
     np.fill_diagonal(W, 0.0)
     # Weights this small are statistically nil but seed subnormal
     # intermediates in downstream factorizations, which LAPACK handles
@@ -237,7 +243,8 @@ def _zap_tiny(M: np.ndarray) -> np.ndarray:
     but breed subnormal intermediates inside LAPACK factorizations, which
     run orders of magnitude slower.
     """
-    M[np.abs(M) < 1e-14 * np.abs(M).max()] = 0.0
+    a = np.abs(M)
+    M[a < 1e-14 * a.max()] = 0.0
     return M
 
 
@@ -570,9 +577,30 @@ class _SarParts:
         self.logdet_d = float(np.sum(np.log(d)))
 
     def S(self, rho: float) -> np.ndarray:
-        S = rho * (rho * self.R - self.P)
+        S = self.R * rho
+        S -= self.P
+        S *= rho
         S.flat[:: S.shape[0] + 1] += self.d
         return _zap_tiny(S)
+
+
+# The eta2 scan's grid: 41 points over log eta2, the first round over
+# [-14, 6]. Read-only, because every profile shares them.
+_GRID_CELLS = 40
+_GRID_STEPS = np.arange(_GRID_CELLS + 1.0)
+_FIRST_LOG_ETA2S = np.linspace(-14.0, 6.0, _GRID_CELLS + 1)
+_FIRST_ETA2S = np.exp(_FIRST_LOG_ETA2S)
+for _a in (_GRID_STEPS, _FIRST_LOG_ETA2S, _FIRST_ETA2S):
+    _a.flags.writeable = False
+del _a
+
+
+def _zoom_grid(lo: float, hi: float) -> np.ndarray:
+    """``np.linspace(lo, hi, 41)``, bit for bit: its own arithmetic, without its dispatch."""
+    grid = _GRID_STEPS * ((hi - lo) / _GRID_CELLS)
+    grid += lo
+    grid[-1] = hi
+    return grid
 
 
 class _RhoProfile:
@@ -596,6 +624,14 @@ class _RhoProfile:
     below the subdiagonal, so both products go through ``dormqr`` on the
     trailing J - 1 rows in O(J^2 p) instead of back-transforming all J
     eigenvectors in O(J^3).
+
+    The eta2 scan (``loglik_batch``, ``max_eta2`` and ``_zoom_grid``)
+    does the floating-point operations of the plain expressions its
+    docstrings give, in their order: ``test_pipeline_bits`` and the
+    perfbench references pin the fits' bits, and on a flat profile one
+    ulp moves eta2_hat by a grid cell. An edit there may drop temporaries
+    or numpy calls, but not reorder or fuse arithmetic; the tests keep
+    the plain expressions as oracles.
 
     Raises ``ValueError`` when ``(I - rho W)`` is numerically singular or
     LAPACK reports a failure.
@@ -625,12 +661,15 @@ class _RhoProfile:
         self.lam = 1.0 / self.mu
         Bt = self.Z.T @ self._apply_h(parts.B, "T")
         self.Xt = np.ascontiguousarray(Bt[:, :-1])
+        self.XtT = np.ascontiguousarray(self.Xt.T)
         self.yt = Bt[:, -1].copy()
         p = self.Xt.shape[1]
         # Per-eigenvector products, so the eta2 scan is two matmuls.
         self.XtXt = (self.Xt[:, :, None] * self.Xt[:, None, :]).reshape(self.J, p * p)
         self.Xtyt = self.Xt * self.yt[:, None]
-        self._log_eta2_bracket = (-14.0, 6.0)
+        self._log_2pi_J = self.J * math.log(2.0 * math.pi)
+        # None until the first round, which scans the whole bracket.
+        self._log_eta2_bracket: tuple[float, float] | None = None
 
     def _apply_h(self, C: np.ndarray, trans: str) -> np.ndarray:
         """``H^T C`` (``trans="T"``) or ``H C`` (``trans="N"``) for a J x k matrix ``C``."""
@@ -643,16 +682,28 @@ class _RhoProfile:
         return out
 
     def loglik_batch(self, eta2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """GLS-profiled log likelihoods and profiling betas at many eta2 values."""
+        """GLS-profiled log likelihoods and profiling betas at many eta2 values.
+
+        Bit for bit, with ``t = eta2s[:, None] * lam[None, :] + 1`` and
+        ``w = 1 / t``, this is ``-0.5 * (J log 2pi + (logdet_d +
+        sum(log t)) + sum(w * z * z))`` with ``z = yt - beta @ Xt.T``.
+        """
         p = self.Xt.shape[1]
-        t = eta2s[:, None] * self.lam[None, :] + 1.0
+        t = np.multiply.outer(eta2s, self.lam)
+        t += 1.0
         w = 1.0 / t
         XwX = (w @ self.XtXt).reshape(-1, p, p)
         beta = np.linalg.solve(XwX, (w @ self.Xtyt)[:, :, None])[:, :, 0]
-        z = self.yt[None, :] - beta @ self.Xt.T
-        quad = np.sum(w * z * z, axis=1)
-        logdet = self.logdet_d + np.sum(np.log(t), axis=1)
-        return -0.5 * (self.J * math.log(2.0 * math.pi) + logdet + quad), beta
+        z = beta @ self.XtT
+        np.subtract(self.yt, z, out=z)
+        w *= z
+        w *= z
+        ll = np.add.reduce(np.log(t, out=t), axis=1)
+        ll += self.logdet_d
+        ll += self._log_2pi_J
+        ll += np.add.reduce(w, axis=1)
+        ll *= -0.5
+        return ll, beta
 
     def max_eta2(self, rounds: int) -> tuple[float, float, np.ndarray]:
         """Maximize the profiled likelihood over eta2 by zooming log grids.
@@ -665,15 +716,18 @@ class _RhoProfile:
         ``max_eta2(5)`` would, without repeating three rounds.
         Returns the maximizing eta2, its log likelihood and its GLS beta.
         """
-        lo, hi = self._log_eta2_bracket
+        bracket = self._log_eta2_bracket
         for _ in range(rounds):
-            grid = np.linspace(lo, hi, 41)
-            eta2s = np.exp(grid)
+            if bracket is None:
+                grid, eta2s = _FIRST_LOG_ETA2S, _FIRST_ETA2S
+            else:
+                grid = _zoom_grid(*bracket)
+                eta2s = np.exp(grid)
             lls, betas = self.loglik_batch(eta2s)
-            i = int(np.argmax(lls))
+            i = int(lls.argmax())
             span = grid[1] - grid[0]
-            lo, hi = grid[i] - span, grid[i] + span
-        self._log_eta2_bracket = (lo, hi)
+            bracket = (grid[i] - span, grid[i] + span)
+        self._log_eta2_bracket = bracket
         return float(eta2s[i]), float(lls[i]), betas[i]
 
     def blup(self, eta2: float, beta: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -61,6 +61,22 @@ class TestSqExpWeights:
         with pytest.raises(ValueError, match="isolated area"):
             sq_exp_weights([(0.0, 0.0), (1e4, 0.0)])
 
+    def test_matches_broadcast_sum(self):
+        """The two difference arrays give the bits of the broadcast sum over a length-2 axis."""
+        def oracle(c):
+            W = np.exp(-np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
+            np.fill_diagonal(W, 0.0)
+            W[W < 1e-12] = 0.0
+            W = W / W.sum(axis=1)[:, None]
+            W[W < 1e-12] = 0.0
+            return W / W.sum(axis=1)[:, None]
+
+        rng = np.random.default_rng(88)
+        for J in (2, 7, 50, 151):
+            c = rng.uniform(-4.0, 8.0, size=(J, 2))
+            c[J // 2] = c[0]  # coincident centroids
+            assert np.array_equal(sq_exp_weights(c), oracle(c)), J
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_centroid_rejected(self, bad):
         """A NaN centroid gave an all-NaN W, and an infinite one an "isolated area"."""
@@ -535,6 +551,77 @@ class TestFitMeanModel:
         X = np.column_stack([np.ones(J), 2.0 * np.ones(J)])
         with pytest.raises(ValueError, match="rank deficient"):
             fit_mean_model(rng.normal(size=J), np.full(J, 0.1), X, _random_weights(rng, J))
+
+
+def _loglik_batch_oracle(profile, eta2s):
+    """``_RhoProfile.loglik_batch`` as plain expressions, in the operation order it must keep."""
+    p = profile.Xt.shape[1]
+    t = eta2s[:, None] * profile.lam[None, :] + 1.0
+    w = 1.0 / t
+    XwX = (w @ profile.XtXt).reshape(-1, p, p)
+    beta = np.linalg.solve(XwX, (w @ profile.Xtyt)[:, :, None])[:, :, 0]
+    z = profile.yt[None, :] - beta @ profile.Xt.T
+    quad = np.sum(w * z * z, axis=1)
+    logdet = profile.logdet_d + np.sum(np.log(t), axis=1)
+    return -0.5 * (profile.J * math.log(2.0 * math.pi) + logdet + quad), beta
+
+
+def _criterion_11_loo_parts(seed, j):
+    """Area j's leave-one-out mean-model inputs on a criterion-11 table, as a fit sees them."""
+    table = _criterion_11_table(50, seed)
+    (a_hat, b_hat), = small_area._loo_ab_fits(table, [j]).values()
+    rest = np.arange(table.J) != j
+    sigma2, _ = eb_variances(a_hat, b_hat, table.s2[rest], table.n[rest])
+    return _SarParts(sq_exp_weights(table.centroids[rest]), sigma2 / table.n[rest],
+                     table.ybar[rest], table.X[rest])
+
+
+class TestScanBits:
+    """The eta2 scan keeps the bits of its plain expressions (see ``_RhoProfile``)."""
+
+    @pytest.mark.usefixtures("one_cpu")  # brackets zoomed in a forked worker would not be seen
+    def test_zoom_grid_is_linspace_on_every_criterion_11_bracket(self, monkeypatch):
+        brackets = []
+
+        def recorded(lo, hi):
+            brackets.append((lo, hi))
+            return zoom_grid(lo, hi)
+
+        zoom_grid = small_area._zoom_grid
+        monkeypatch.setattr(small_area, "_zoom_grid", recorded)
+        for seed in (7000, 7001):
+            area_pipeline(_criterion_11_table(50, seed), "exact", methods=("fab",))
+        # At each of 15 rho, two of its three rounds zoom; two more zoom at rho_hat.
+        assert len(brackets) == 2 * 50 * (15 * 2 + 2)
+        for lo, hi in brackets:
+            assert np.array_equal(zoom_grid(lo, hi), np.linspace(lo, hi, 41)), (lo.hex(), hi.hex())
+
+    def test_zoom_grid_is_linspace_on_random_brackets(self):
+        rng = np.random.default_rng(89)
+        lo = rng.uniform(-16.0, 8.0, size=2000)
+        width = 10.0 ** rng.uniform(-9.0, 1.5, size=lo.size)
+        for a, b in zip(lo, lo + width):
+            assert np.array_equal(small_area._zoom_grid(a, b), np.linspace(a, b, 41)), (a.hex(), b.hex())
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+    def test_loglik_batch_matches_plain_expressions(self, rho):
+        profile = _RhoProfile(rho, _criterion_11_loo_parts(7000, 3))
+        grids = [small_area._FIRST_LOG_ETA2S, np.linspace(-3.0, -2.0, 41), np.linspace(1.0, 1.05, 41)]
+        for eta2s in map(np.exp, grids):
+            got, want = profile.loglik_batch(eta2s), _loglik_batch_oracle(profile, eta2s)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.5])
+    def test_resumed_zoom_ends_where_one_call_would(self, rho):
+        parts = _criterion_11_loo_parts(7001, 10)
+        resumed = _RhoProfile(rho, parts)
+        resumed.max_eta2(3)
+        eta2, ll, beta = resumed.max_eta2(2)
+        fresh = _RhoProfile(rho, parts)
+        eta2_5, ll_5, beta_5 = fresh.max_eta2(5)
+        assert (eta2.hex(), ll.hex()) == (eta2_5.hex(), ll_5.hex())
+        assert np.array_equal(beta, beta_5)
+        assert resumed._log_eta2_bracket == fresh._log_eta2_bracket
 
 
 class TestConditionalParams:
@@ -1166,6 +1253,11 @@ def test_mis_shaped_input_is_a_value_error(call, message):
         call()
 
 
+def _W3_row0(w01):
+    """A 3 x 3 zero-diagonal W whose first row is (0, w01, 0)."""
+    return np.array([[0.0, w01, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: AreaTable(**_table_fields(ids=["a"], samples=[np.ones(2)], X=np.ones((1, 1)),
                                        centroids=np.zeros((1, 2)))), "need at least two areas"),
@@ -1177,6 +1269,10 @@ def test_mis_shaped_input_is_a_value_error(call, message):
     (lambda: sar_covariance(0.5, np.zeros((2, 3))), "W must be square"),
     (lambda: sar_covariance(0.5, np.full((2, 2), 0.5)), "W must have a zero diagonal"),
     (lambda: sar_covariance(0.5, np.array([[0.0, 0.5], [0.5, 0.0]])), "rows of W must sum to 1"),
+    # np.allclose's default rtol of 1e-5 let these two through.
+    (lambda: sar_covariance(0.5, _W3_row0(1.0 + 5e-6)), "rows of W must sum to 1"),
+    (lambda: sar_covariance(0.5, _W3_row0(1.0 + 1e-9)), "rows of W must sum to 1"),
+    (lambda: sar_covariance(0.5, _W3_row0(math.nan)), "rows of W must sum to 1"),
     (lambda: sq_exp_weights([(0.0, 0.0)]), "need at least two"),
     (lambda: fit_mean_model(np.zeros(3), np.ones(4), np.ones((4, 1)), _W4), "inconsistent dimensions"),
     (lambda: fit_mean_model(np.zeros(4), np.ones(4), np.vander(np.arange(4.0), 3), _W4),
@@ -1189,7 +1285,8 @@ def test_mis_shaped_input_is_a_value_error(call, message):
     (lambda: _generate(n_range=(0, 4)), "invalid n_range"),
     (lambda: _generate(n_range=(4, 2)), "invalid n_range"),
 ], ids=["table_one_area", "table_counts", "table_2d_sample", "table_empty_sample", "W_not_square",
-        "W_diagonal", "W_row_sums", "weights_one_centroid", "mean_model_lengths",
+        "W_diagonal", "W_row_sums", "W_row_sums_5e-6", "W_row_sums_1e-9", "W_row_sums_nan",
+        "weights_one_centroid", "mean_model_lengths",
         "mean_model_J_below_p_plus_2", "conditional_j", "conditional_theta_size", "conditional_rho",
         "generate_J", "generate_beta", "generate_n_below_1", "generate_n_reversed"])
 def test_guarded_input_is_a_value_error(call, message):
