@@ -8,6 +8,12 @@ sum overflows (two values of 1e308 in one sample), 3 rank-deficient
 covariate matrix. Every error is one ``error:`` line on stderr, and a
 failed run leaves its output paths as they were. Rows whose fields are
 all blank are skipped in every input CSV.
+
+Every CSV is read and written by the ``csv`` module: a field is quoted
+only where CSV needs it, such as an area id holding a comma or a double
+quote, and such an id reads back as one field. ``small-area`` takes
+``--alpha`` (default 0.25) only under ``--alpha-mode fixed``; with
+``exact``, or outside (0, 1), it is exit 1 before any fit.
 """
 
 from __future__ import annotations
@@ -217,23 +223,29 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_small_area(args: argparse.Namespace) -> int:
+    if args.alpha_mode == "exact":
+        if args.alpha is not None:
+            raise ValueError("--alpha cannot be given with --alpha-mode exact")
+        alpha_mode: float | str = "exact"
+    else:
+        alpha_mode = 0.25 if args.alpha is None else args.alpha
+        if not 0.0 < alpha_mode < 1.0:
+            raise ValueError(f"--alpha must be in (0, 1), got {alpha_mode!r}")
     table = load_area_table(args.areas, args.samples, standardize=args.standardize)
     if np.linalg.matrix_rank(table.X) < table.X.shape[1]:
         print("error: covariate matrix is rank deficient", file=sys.stderr)
         return EXIT_RANK_DEFICIENT
-    alpha_mode: float | str = "exact" if args.alpha_mode == "exact" else args.alpha
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
     if args.output != "-":
         _check_output(args.output)  # an unwritable path fails before any fit
     records = area_pipeline(table, alpha_mode, methods)
     with contextlib.nullcontext(sys.stdout) if args.output == "-" else _open_output(args.output) as out:
         out.write("area_id,n,alpha_j,method,lower,upper,mu_j,tau2_j,fallback_flag\n")
-        for r in records:
-            out.write(
-                f"{r.area_id},{r.n},{_fmt(r.alpha_j)},{r.method},"
-                f"{_fmt(r.interval.lower)},{_fmt(r.interval.upper)},"
-                f"{_fmt(r.mu_j)},{_fmt(r.tau2_j)},{int(r.fallback)}\n"
-            )
+        csv.writer(out, lineterminator="\n").writerows(
+            (r.area_id, r.n, _fmt(r.alpha_j), r.method, _fmt(r.interval.lower),
+             _fmt(r.interval.upper), _fmt(r.mu_j), _fmt(r.tau2_j), int(r.fallback))
+            for r in records
+        )
     return 0
 
 
@@ -323,16 +335,15 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     )
     with _open_output(areas_path) as fh:
         fh.write("area_id,cx,cy,cov1\n")
-        for j, area_id in enumerate(table.ids):
-            fh.write(
-                f"{area_id},{_fmt(table.centroids[j, 0])},{_fmt(table.centroids[j, 1])},"
-                f"{_fmt(table.X[j, 1])}\n"
-            )
+        csv.writer(fh, lineterminator="\n").writerows(
+            (area_id, _fmt(table.centroids[j, 0]), _fmt(table.centroids[j, 1]), _fmt(table.X[j, 1]))
+            for j, area_id in enumerate(table.ids)
+        )
     with _open_output(samples_path) as fh:
         fh.write("area_id,value\n")
-        for j, area_id in enumerate(table.ids):
-            for v in table.samples[j]:
-                fh.write(f"{area_id},{_fmt(float(v))}\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            (area_id, _fmt(float(v))) for area_id, sample in zip(table.ids, table.samples) for v in sample
+        )
     truth["seed"] = args.seed
     with _open_output(truth_path) as fh:
         json.dump(truth, fh, indent=2)
@@ -357,8 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("small-area", help="leave-one-area-out intervals per area")
     p.add_argument("--areas", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--alpha-mode", choices=("fixed", "exact"), default="fixed")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="error rate in (0, 1) of every area under --alpha-mode fixed "
+                   "(default 0.25); not allowed with --alpha-mode exact")
+    p.add_argument("--alpha-mode", choices=("fixed", "exact"), default="fixed",
+                   help="exact: each area's alpha_j = floor((n_j+1)/3)/(n_j+1)")
     p.add_argument("--method", choices=("fab", "dta", "both"), default="both")
     p.add_argument("--standardize", action="store_true",
                    help="center and scale covariate columns before fitting")

@@ -20,6 +20,7 @@ width is infinite or the mean DTA width is zero.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -142,15 +143,12 @@ class SimReport:
         header = _CSV_HEADER + (",mean_lower,mean_upper" if endpoints else "")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for r in self.rows:
-                cells = [
-                    r.method, str(r.n), _fmt(r.theta_minus_mu), _fmt(r.tau2),
-                    _fmt(r.mean_width), _fmt(r.width_se), _fmt(r.coverage),
-                    _fmt(r.coverage_se), str(r.inf_width_count), str(r.seed),
-                ]
-                if endpoints:
-                    cells += [_fmt(r.mean_lower), _fmt(r.mean_upper)]
-                fh.write(",".join(cells) + "\n")
+            csv.writer(fh, lineterminator="\n").writerows(
+                (r.method, r.n, _fmt(r.theta_minus_mu), _fmt(r.tau2), _fmt(r.mean_width),
+                 _fmt(r.width_se), _fmt(r.coverage), _fmt(r.coverage_se), r.inf_width_count, r.seed)
+                + ((_fmt(r.mean_lower), _fmt(r.mean_upper)) if endpoints else ())
+                for r in self.rows
+            )
 
     def find(self, method: str, **keys: float) -> SimRow:
         """The unique row matching a method and cell coordinates."""

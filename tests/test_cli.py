@@ -340,6 +340,58 @@ class TestSmallArea:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {bad}:{line}: ") and err.count("\n") == 1
 
+    def test_quoted_area_ids_round_trip(self, dataset, tmp_path, capsys):
+        """An id holding a comma used to be written unquoted, so its rows had 10 fields."""
+        renamed = {"area000": "north, east", "area001": 'say "hi"'}
+        paths = []
+        for path in dataset:
+            with open(path, newline="") as fh:
+                rows = [[renamed.get(row[0], row[0])] + row[1:] for row in csv.reader(fh)]
+            quoted = tmp_path / f"quoted_{Path(path).name}"
+            with open(quoted, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            paths.append(str(quoted))
+        assert '"north, east"' in Path(paths[0]).read_text()
+        code, out, err = run_cli(
+            capsys, "small-area", "--areas", paths[0], "--samples", paths[1],
+            "--alpha-mode", "exact", "--method", "both",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(out.splitlines()))
+        assert {len(row) for row in rows} == {9}
+        ids = [renamed.get(f"area{j:03d}", f"area{j:03d}") for j in range(12)]
+        assert [row[0] for row in rows[1::2]] == [row[0] for row in rows[2::2]] == ids
+
+    @pytest.mark.parametrize("alpha", ["7", "0.25"])
+    def test_alpha_with_exact_mode_is_one_error_line(self, dataset, capsys, monkeypatch, alpha):
+        """--alpha used to be ignored under --alpha-mode exact, with exit 0."""
+        areas, samples = dataset
+        monkeypatch.setattr(cli, "load_area_table", _no_fit)
+        monkeypatch.setattr(cli, "area_pipeline", _no_fit)
+        code, out, err = run_cli(
+            capsys, "small-area", "--areas", areas, "--samples", samples,
+            "--alpha-mode", "exact", "--alpha", alpha,
+        )
+        assert (code, out, err) == (1, "", "error: --alpha cannot be given with --alpha-mode exact\n")
+
+    @pytest.mark.parametrize("alpha, shown", [
+        ("7", "7.0"), ("0", "0.0"), ("1", "1.0"), ("-0.5", "-0.5"), ("nan", "nan"),
+    ])
+    def test_bad_alpha_names_the_flag(self, dataset, capsys, monkeypatch, alpha, shown):
+        """The message used to name the library's alpha_mode argument."""
+        areas, samples = dataset
+        monkeypatch.setattr(cli, "area_pipeline", _no_fit)
+        code, out, err = run_cli(
+            capsys, "small-area", "--areas", areas, "--samples", samples, "--alpha", alpha,
+        )
+        assert (code, out, err) == (1, "", f"error: --alpha must be in (0, 1), got {shown}\n")
+
+    def test_fixed_mode_alpha_defaults_to_a_quarter(self, dataset, capsys):
+        areas, samples = dataset
+        code, out, _ = run_cli(capsys, "small-area", "--areas", areas, "--samples", samples)
+        assert code == 0
+        assert {row["alpha_j"] for row in csv.DictReader(out.splitlines())} == {"0.25"}
+
     def test_standardize_flag_changes_loaded_covariates(self, dataset):
         from fabcp.cli import load_area_table
 
@@ -627,14 +679,14 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
 def test_failed_run_keeps_existing_output(tmp_path, capsys, command):
     """A run that exited non-zero used to leave an existing output file empty,
     and a new 0-byte file where there was none."""
-    code, _, _ = run_cli(capsys, "gen-data", "--J", "6", "--out-prefix", str(tmp_path / "d"))
-    assert code == 0
+    areas, samples = tmp_path / "areas.csv", tmp_path / "samples.csv"
+    areas.write_text("area_id,cx,cy,cov1\na,0,0,1\nb,1,0,2\n")
+    samples.write_text("area_id,value\na,1.0\na,2.0\nb,3.0\nb,5.0\n")
     keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
     keep.write_text("previous results\n")
-    # each run fails after its output path was checked
+    # each run fails after its output path was checked: the pipeline needs three areas
     argv = {
-        "small-area": ["small-area", "--areas", str(tmp_path / "d_areas.csv"),
-                       "--samples", str(tmp_path / "d_samples.csv"), "--alpha", "1.5"],
+        "small-area": ["small-area", "--areas", str(areas), "--samples", str(samples)],
         "simulate": ["simulate", "--experiment", "coverage", "--methods", "dta", "--n-list", "1"],
     }[command]
     for path in (keep, new):
@@ -678,6 +730,10 @@ def test_unreadable_path_is_one_error_line(tmp_path, capsys, monkeypatch, flag):
 
 def _no_work(*args, **kwargs):
     raise AssertionError("ran before the output path was checked")
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("ran before the flags were checked")
 
 
 def test_import_does_not_load_scipy_optimize():

@@ -9,15 +9,19 @@ order or rounding anywhere on these paths moves the digests. The inputs straddle
 summation kernel's size cutoff and its block size. The small-area digest
 pins every field of the leave-one-area-out pipeline's records, fallbacks
 included, and the (a, b) digest every leave-one-out variance fit, taken
-when each was its own scipy Nelder-Mead search.
+when each was its own scipy Nelder-Mead search. The command-line digests
+pin the bytes ``gen-data`` and ``small-area`` write, taken when each row
+was joined by hand.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fabcp.baselines import dta_interval
+from fabcp.cli import main
 from fabcp.fab import fab_interval_from_precision
 from fabcp.small_area import AreaTable, EstimationError, _loo_ab_fits, area_pipeline, generate_table
 from fabcp.simulate import (
@@ -175,3 +179,35 @@ def test_ab_fit_bits():
     got = hashlib.sha256("\n".join(fields).encode()).hexdigest()
     assert len(fields) == 4 * 302
     assert got == AB_FIT_DIGEST, got
+
+
+# The bytes the command line writes for one seeded map: the three gen-data
+# files, then small-area's stdout and its --output file on that map.
+CLI_DIGESTS = {
+    "gen_data_areas": "fc4625242ea632610d75ebe974b762445c76521be0020ca04702831d8c55daa7",
+    "gen_data_samples": "346fea98350a6952248b2ed81df0598a39c74ad5feacfd63298c91d629936c7a",
+    "gen_data_truth": "569a16105c942affd4efdb3fc4cc64d5ab45dfe0579706fd2c1de0566b253992",
+    "small_area_stdout": "c16b019e665dbda681138a45bcc288ef03eef457bd05a6188ada05f35242399e",
+    "small_area_output": "c16b019e665dbda681138a45bcc288ef03eef457bd05a6188ada05f35242399e",
+}
+
+
+def test_cli_bytes(tmp_path, capsys):
+    prefix = tmp_path / "map"
+    assert main(["gen-data", "--J", "30", "--seed", "3", "--beta=-1,0.5",
+                 "--out-prefix", str(prefix)]) == 0
+    small_area = ["small-area", "--areas", f"{prefix}_areas.csv",
+                  "--samples", f"{prefix}_samples.csv", "--alpha-mode", "exact", "--method", "both"]
+    capsys.readouterr()
+    assert main(small_area) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main(small_area + ["--output", str(tmp_path / "intervals.csv")]) == 0
+    blobs = {
+        "gen_data_areas": Path(f"{prefix}_areas.csv").read_bytes(),
+        "gen_data_samples": Path(f"{prefix}_samples.csv").read_bytes(),
+        "gen_data_truth": Path(f"{prefix}_truth.json").read_bytes(),
+        "small_area_stdout": stdout,
+        "small_area_output": (tmp_path / "intervals.csv").read_bytes(),
+    }
+    got = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    assert got == CLI_DIGESTS, got
