@@ -14,6 +14,8 @@ only where CSV needs it, such as an area id holding a comma or a double
 quote, and such an id reads back as one field. ``small-area`` takes
 ``--alpha`` (default 0.25) only under ``--alpha-mode fixed``; with
 ``exact``, or outside (0, 1), it is exit 1 before any fit.
+``simulate --experiment bayes-risk`` takes ``methods`` only as fab,dta,
+``population`` only as normal and ``theta_grid`` only as 0.
 """
 
 from __future__ import annotations
@@ -149,6 +151,9 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
     index: dict[str, int] = {}
     for line_no, row in rows:
         area_id = row[0].strip()
+        # csv.writer leaves a bare carriage return unquoted, so such an id would split its output row.
+        if "\r" in area_id:
+            raise CSVFormatError(areas_path, line_no, f"area id {area_id!r} holds a carriage return")
         if area_id in index:
             raise CSVFormatError(areas_path, line_no, f"duplicate area id {area_id!r}")
         index[area_id] = len(index)
@@ -194,6 +199,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         if not args.tau2 > 0:
             raise ValueError("--tau2 must be positive")
         precision = 1.0 / args.tau2
+        if math.isinf(precision):
+            raise ValueError(f"--tau2 must be large enough that 1/tau2 is finite, got {args.tau2!r}")
     elif args.method == "fab":
         raise ValueError("--method fab needs --tau2 or --precision")
     # DTA is the FAB interval with zero prior precision
@@ -300,6 +307,15 @@ def _sim_config(args: argparse.Namespace) -> simulate.SimConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _sim_config(args)
+    if args.experiment == "bayes-risk":
+        # The FAB/DTA ratio under the normal linking model, which draws theta itself.
+        if set(config.methods) != {"fab", "dta"}:
+            raise ValueError(f"bayes-risk needs methods fab,dta, got {','.join(config.methods)}")
+        if config.population != "normal":
+            raise ValueError(f"bayes-risk needs population normal, got {config.population}")
+        if config.theta_grid != simulate.SimConfig.theta_grid:
+            raise ValueError("bayes-risk draws theta ~ N(mu, tau2), so theta_grid must be 0, "
+                             f"got {','.join(map(_fmt, config.theta_grid))}")
     _check_output(args.output)  # an unwritable report path fails before the run
     if args.experiment == "expected-width":
         report = simulate.expected_width(config)
@@ -317,6 +333,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
     for path in paths:
         _check_output(path)  # one unwritable path fails the run before any file is written

@@ -1,16 +1,18 @@
 """Generic conformal machinery: measures, p-values, and a grid region oracle.
 
 The grid oracle evaluates the conformal rank count at every point of a
-candidate grid directly from a conformity measure's definition. It is a
-test instrument for the exact O(n log n) interval algorithms, not part of
-the user-facing prediction path.
+candidate grid directly from a conformity measure's definition, and
+returns a :class:`GridRegion`: the :class:`GridSpec` it ran on, the
+acceptance mask, and the mask's accepted runs as closed intervals. It is
+a test instrument for the exact O(n log n) interval algorithms, not part
+of the user-facing prediction path.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +154,7 @@ class GridSpec:
 
 def default_grid(
     sample: Sequence[float] | np.ndarray,
-    num: int = 4001,
+    num: int = GridSpec.num,
     anchors: Sequence[float] = (),
 ) -> GridSpec:
     """Grid spanning the hull of sample and anchors, padded by 5 spans.
@@ -173,13 +175,16 @@ def default_grid(
 
 @dataclass(frozen=True)
 class GridRegion:
-    """Acceptance mask of a conformal region evaluated on a uniform grid."""
+    """Acceptance mask of a conformal region on ``grid``, and its accepted runs.
 
-    grid_lo: float
-    grid_hi: float
-    resolution: float
+    ``accepted[j]`` says whether grid point j is in the region, and
+    ``intervals`` lists each maximal run of accepted points as the closed
+    interval between its first and last grid points, in grid order.
+    """
+
+    grid: GridSpec
     accepted: np.ndarray
-    intervals: list[tuple[float, float]] = field(default_factory=list)
+    intervals: list[tuple[float, float]]
 
 
 def step_profile(
@@ -213,23 +218,7 @@ def grid_region(
     counts = _counts(y, xs, measure)
     k = int(math.floor(alpha * (y.size + 1)))
     accepted = counts > k
-
-    intervals: list[tuple[float, float]] = []
-    in_run = False
-    start = 0.0
-    for j, ok in enumerate(accepted):
-        if ok and not in_run:
-            in_run, start = True, float(xs[j])
-        elif not ok and in_run:
-            in_run = False
-            intervals.append((start, float(xs[j - 1])))
-    if in_run:
-        intervals.append((start, float(xs[-1])))
-
-    return GridRegion(
-        grid_lo=grid.lo,
-        grid_hi=grid.hi,
-        resolution=grid.resolution,
-        accepted=accepted,
-        intervals=intervals,
-    )
+    # The mask's change points pair up: a run opens at one, closes before the next.
+    edges = np.flatnonzero(np.diff(accepted, prepend=False, append=False))
+    intervals = [(float(xs[a]), float(xs[b - 1])) for a, b in edges.reshape(-1, 2)]
+    return GridRegion(grid=grid, accepted=accepted, intervals=intervals)

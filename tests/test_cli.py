@@ -177,6 +177,18 @@ class TestPredict:
         )
         assert (code, out, err) == (1, "", "error: --tau2 and --precision cannot both be given\n")
 
+    @pytest.mark.parametrize("method", ["fab", "dta"])
+    def test_tau2_with_overflowing_reciprocal_names_tau2(self, tmp_path, capsys, method):
+        """fab said "precision must be finite and nonnegative, got inf"; dta exited 0."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--tau2", "1e-320", "--alpha", "0.25",
+            "--method", method,
+        )
+        message = "error: --tau2 must be large enough that 1/tau2 is finite, got 1e-320\n"
+        assert (code, out, err) == (1, "", message)
+
     def test_invalid_flag_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0])
@@ -222,6 +234,14 @@ class TestGenData:
         )
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {flag[2:]} must be finite and ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        """numpy's "expected non-negative integer" used to be the message."""
+        code, out, err = run_cli(
+            capsys, "gen-data", "--J", "5", "--seed", "-1", "--out-prefix", str(tmp_path / "d"),
+        )
+        assert (code, out, err) == (1, "", "error: --seed must be a nonnegative integer, got -1\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_writes_no_file(self, tmp_path, capsys):
@@ -361,6 +381,27 @@ class TestSmallArea:
         assert {len(row) for row in rows} == {9}
         ids = [renamed.get(f"area{j:03d}", f"area{j:03d}") for j in range(12)]
         assert [row[0] for row in rows[1::2]] == [row[0] for row in rows[2::2]] == ids
+
+    @pytest.mark.parametrize("which", ["both", "samples"])
+    def test_carriage_return_in_area_id_is_a_line_error(self, dataset, tmp_path, capsys, which):
+        """The id loaded, and its unquoted output row read back as rows of 9 and 1 fields."""
+        first = 0 if which == "both" else 1
+        renamed = _rename_ids(dataset[first:], {"area000": "a\rb"}, tmp_path)
+        areas, samples = [*dataset[:first], *renamed]
+        code, out, err = run_cli(capsys, "small-area", "--areas", areas, "--samples", samples)
+        where, message = (
+            (areas, "area id 'a\\rb' holds a carriage return") if which == "both"
+            else (samples, "unknown area id 'a\\rb'")
+        )
+        assert (code, out, err) == (2, "", f"error: {where}:2: {message}\n")
+
+    def test_newline_in_area_id_round_trips(self, dataset, tmp_path, capsys):
+        areas, samples = _rename_ids(dataset, {"area000": "a\nb"}, tmp_path)
+        code, out, err = run_cli(capsys, "small-area", "--areas", areas, "--samples", samples)
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(out.splitlines(keepends=True)))
+        assert {len(row) for row in rows} == {9}
+        assert [row[0] for row in rows[1:3]] == ["a\nb", "a\nb"]
 
     @pytest.mark.parametrize("alpha", ["7", "0.25"])
     def test_alpha_with_exact_mode_is_one_error_line(self, dataset, capsys, monkeypatch, alpha):
@@ -524,16 +565,51 @@ class TestSimulateCommand:
         from_config = tmp_path / "config.csv"
         from_flags = tmp_path / "flags.csv"
         code1, _, _ = run_cli(
-            capsys, "simulate", "--experiment", "bayes-risk", "--config", str(cfg),
+            capsys, "simulate", "--experiment", "coverage", "--config", str(cfg),
             "--replications", "200", "--seed", "4", "--output", str(from_config),
         )
         code2, _, _ = run_cli(
-            capsys, "simulate", "--experiment", "bayes-risk", "--n-list", "3,5",
+            capsys, "simulate", "--experiment", "coverage", "--n-list", "3,5",
             "--tau2-list", "0.5,2", "--mu", "0.1", "--seed", "4", "--methods", "fab",
             "--replications", "200", "--output", str(from_flags),
         )
         assert code1 == code2 == 0
         assert from_config.read_bytes() == from_flags.read_bytes()
+
+    @pytest.mark.parametrize("setting, message", [
+        (("--methods", "pivot_t"), "bayes-risk needs methods fab,dta, got pivot_t"),
+        (("--methods", "fab"), "bayes-risk needs methods fab,dta, got fab"),
+        (("--population", "mixture"), "bayes-risk needs population normal, got mixture"),
+        (("--theta-grid", "5"), "bayes-risk draws theta ~ N(mu, tau2), so theta_grid must be 0, got 5"),
+        (("--config", "theta_grid=0,1"),
+         "bayes-risk draws theta ~ N(mu, tau2), so theta_grid must be 0, got 0,1"),
+    ], ids=["pivot_t", "fab", "mixture", "theta_flag", "theta_config"])
+    def test_bayes_risk_setting_it_cannot_use_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, setting, message,
+    ):
+        """These exited 0 with normal-population fab, dta and fab/dta rows."""
+        flag, value = setting
+        if flag == "--config":
+            (tmp_path / "sweep.cfg").write_text(value + "\n")
+            value = str(tmp_path / "sweep.cfg")
+        monkeypatch.setattr(cli.simulate, "bayes_risk_ratio", _no_fit)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", "bayes-risk", flag, value, "--output", str(out),
+        )
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_bayes_risk_takes_its_settings_in_any_spelling(self, tmp_path, capsys):
+        reports = []
+        for extra in ((), ("--methods", "dta,fab", "--theta-grid", "0", "--population", "normal")):
+            reports.append(tmp_path / f"r{len(reports)}.csv")
+            code, _, err = run_cli(
+                capsys, "simulate", "--experiment", "bayes-risk", "--replications", "50", *extra,
+                "--output", str(reports[-1]),
+            )
+            assert (code, err) == (0, "")
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     @pytest.mark.parametrize("experiment, flag, name", [
         ("coverage", "--tau2-list", "tau2_list"),
@@ -734,6 +810,19 @@ def _no_work(*args, **kwargs):
 
 def _no_fit(*args, **kwargs):
     raise AssertionError("ran before the flags were checked")
+
+
+def _rename_ids(paths, renamed, out_dir):
+    """Copies of the area CSVs at ``paths``, with the ids in ``renamed`` renamed."""
+    copies = []
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = [[renamed.get(row[0], row[0])] + row[1:] for row in csv.reader(fh)]
+        copy = out_dir / f"renamed_{Path(path).name}"
+        with open(copy, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        copies.append(str(copy))
+    return copies
 
 
 def test_import_does_not_load_scipy_optimize():

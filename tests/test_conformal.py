@@ -35,6 +35,18 @@ def brute_force_pvalue(sample, x, measure):
     return count / (n + 1)
 
 
+class DeviationScore(ConformityMeasure):
+    """Augmented measure scoring a point by ``score(point - bag mean)``."""
+
+    augmented = True
+
+    def __init__(self, score):
+        self.score_of = score
+
+    def scores(self, bags, points):
+        return self.score_of(points - bags.mean(axis=1)[:, None])
+
+
 def random_params(rng):
     return WorkingModelParams(
         mu=float(rng.uniform(-3, 3)),
@@ -141,11 +153,34 @@ class TestGridRegion:
         region = grid_region(sample, measure, 0.2, grid)
         np.testing.assert_array_equal(region.accepted, counts > 1)
 
+    @pytest.mark.parametrize("score, sample, alpha, grid, runs", [
+        # far from the mean conforms: two runs, one at each grid end
+        (np.abs, [-1.0, 1.0], 0.5, GridSpec(-10.0, 10.0, 2001), 2),
+        # near the mean the candidate ranks last: no run
+        (np.abs, [-1.0, 1.0], 0.5, GridSpec(-0.5, 0.5, 101), 0),
+        # an oscillating score: four runs, two of them at the grid ends
+        (lambda d: np.sin(3.0 * d), [-1.0, 0.5, 2.0], 0.3, GridSpec(-6.0, 6.0, 1201), 4),
+    ])
+    def test_intervals_are_the_runs_of_the_mask(self, score, sample, alpha, grid, runs):
+        """Each maximal run of accepted grid points is one interval, in grid order."""
+        region = grid_region(sample, DeviationScore(score), alpha, grid)
+        xs, ok = grid.points(), region.accepted
+        expected = []
+        for j in range(xs.size):
+            if ok[j] and (j == 0 or not ok[j - 1]):
+                start = float(xs[j])
+            if ok[j] and (j == xs.size - 1 or not ok[j + 1]):
+                expected.append((start, float(xs[j])))
+        assert region.intervals == expected
+        assert len(expected) == runs
+        if runs:
+            assert expected[0][0] == grid.lo and expected[-1][1] == grid.hi
+
     def test_mask_length_matches_grid(self):
         grid = GridSpec(-2.0, 3.0, 501)
         region = grid_region([0.0, 1.0], DTAMeasure(), 0.25, grid)
         assert region.accepted.size == 501
-        assert int(math.floor((region.grid_hi - region.grid_lo) / region.resolution + 0.5)) + 1 == 501
+        assert int(math.floor((region.grid.hi - region.grid.lo) / region.grid.resolution + 0.5)) + 1 == 501
 
     def test_vectorized_scores_match_pointwise(self):
         """The builder's matrix holds the scores of the bags brute_force_pvalue builds."""
