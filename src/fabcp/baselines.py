@@ -216,13 +216,16 @@ def eb_bounds(
 ) -> np.ndarray:
     """Empirical-Bayes bounds for each row of ``samples``, shape (rows, 2).
 
-    ``tau2 = inf`` is the diffuse prior, which gives the pivot bounds. A
-    row with zero estimated variance gets ``[ybar, ybar]``, the s2 -> 0 limit.
+    ``tau2 = inf`` is the diffuse prior, which gives the pivot bounds; ``mu / tau2``
+    must be finite. A row with zero estimated variance gets ``[ybar, ybar]``, the
+    s2 -> 0 limit.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     if not tau2 > 0.0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
+    if not math.isfinite(mu / tau2):
+        raise ValueError(f"the prior term mu / tau2 overflows: mu = {mu}, tau2 = {tau2}")
     n = samples.shape[1]
     s2, q = _variance_and_quantile(samples, alpha, sigma2)
     ybar = samples.mean(axis=1)

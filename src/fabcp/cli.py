@@ -38,6 +38,17 @@ from .simulate import _fmt
 from .small_area import AreaTable, area_pipeline, generate_table
 from .working_model import posterior_mean_theta, WorkingModelParams
 
+__all__ = [
+    "EXIT_BAD_FLAGS",
+    "EXIT_BAD_DATA",
+    "EXIT_RANK_DEFICIENT",
+    "CSVFormatError",
+    "load_value_csv",
+    "load_area_table",
+    "build_parser",
+    "main",
+]
+
 EXIT_BAD_FLAGS = 1
 EXIT_BAD_DATA = 2
 EXIT_RANK_DEFICIENT = 3
@@ -193,6 +204,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if precision is not None and args.tau2 is not None:
         raise ValueError("--tau2 and --precision cannot both be given")
     if precision is not None:
+        if not math.isfinite(precision):
+            raise ValueError(f"--precision must be finite, got {precision!r}")
         if precision < 0:
             raise ValueError("--precision must be nonnegative")
     elif args.tau2 is not None:
@@ -335,6 +348,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+    if args.n_min < 1:
+        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
     paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
     for path in paths:
         _check_output(path)  # one unwritable path fails the run before any file is written

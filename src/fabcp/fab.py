@@ -59,13 +59,16 @@ def _reflect(y: float | np.ndarray, sums: float | np.ndarray, n: int, mu: float,
     """Reflection of ``y`` about ``(mu * precision + sums) / (precision + n)``, elementwise.
 
     The only code that builds it and checks its prior, by rules NaN fails: ``mu`` finite,
-    ``precision`` finite and >= 0, and ``c - 2 > 0`` for ``c = precision + n + 1`` (the
-    diffuse prior needs ``n >= 2``; at ``n = 1``, ``precision + 2`` must not round to 2).
+    ``precision`` finite and >= 0, ``2 * mu * precision`` finite, and ``c - 2 > 0`` for
+    ``c = precision + n + 1`` (the diffuse prior needs ``n >= 2``; at ``n = 1``,
+    ``precision + 2`` must not round to 2).
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     if not 0.0 <= precision < math.inf:
         raise ValueError(f"precision must be finite and nonnegative, got {precision}")
+    if not math.isfinite(2.0 * mu * precision):
+        raise ValueError(f"the prior term 2 * mu * precision overflows: mu = {mu}, precision = {precision}")
     c = precision + (n + 1.0)
     if not c - 2.0 > 0.0:
         raise ValueError("the diffuse prior requires n >= 2, and n = 1 needs 1/tau2 + 2 > 2; "
@@ -87,7 +90,8 @@ def reflect_bounds(
     mu, precision : float
         Prior mean and prior precision ``1/tau2`` (0: the diffuse, distance-to-average
         reflection), checked at ``k = 0`` too by the rules of ``_reflect``: ``mu``
-        finite, ``precision`` finite and >= 0, ``precision + n - 1 > 0``.
+        finite, ``precision`` finite and >= 0, ``2 * mu * precision`` finite,
+        ``precision + n - 1 > 0``.
     k : int
         Rank cutoff ``floor(alpha*(n+1))``, in ``[0, n]``.
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["PredictionInterval"]
+
 
 @dataclass(frozen=True)
 class PredictionInterval:

@@ -16,18 +16,17 @@ sampling variance. Feeding those into the exact FAB interval keeps
 area-level frequentist coverage regardless of how well the model fits.
 
 Because each area's fit reads only the other areas' data, the J fits do
-not depend on each other. ``area_pipeline`` deals the areas out over
-every CPU of the process's affinity mask, and each process, the caller or
-a forked worker, takes its own areas from their (a, b) rows, in one
-lockstep search, to their priors; ``loo_conformal_params`` is the same
-path for one area. The records keep their bits at any CPU count.
+not depend on each other. ``area_pipeline`` deals the areas out over every
+CPU of the process's affinity mask with ``fabcp._fork.deal``, and each
+process, the caller or a forked worker, takes its own areas from their (a, b)
+rows, in one lockstep search, to their priors; ``loo_conformal_params`` is the
+same path for one area. The records keep their bits at any CPU count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -38,6 +37,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd
 from scipy.special import gammaln
 
+from . import _fork
 from ._sum import fsum
 from .baselines import dta_interval
 from .fab import fab_interval_from_precision
@@ -952,83 +952,6 @@ def _priors(table: AreaTable, areas: list[int]) -> dict[int, AreaConformalParams
     return priors
 
 
-def _send_priors(conn, table: AreaTable, areas: list[int]) -> None:
-    """A forked worker's share. Ctrl-C is left to the caller, which stops its workers."""
-    import signal
-    import traceback
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    priors = _priors(table, areas)
-    # One error may be several areas' result; it gets one note.
-    errors = {id(result): result for result in priors.values() if isinstance(result, Exception)}
-    for result in errors.values():
-        # A traceback does not pickle; the worker's frames travel as a note.
-        frames = "".join(traceback.format_exception(type(result), result, result.__traceback__))
-        result.add_note(f"In a worker process:\n{frames}")
-    conn.send(priors)
-    conn.close()
-
-
-def _cpus() -> int:
-    """CPUs in the process's affinity mask; 1 where it may not fork a worker."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    import multiprocessing  # here, so that importing fabcp does not load it
-    import threading
-
-    # A daemonic process, such as a multiprocessing.Pool worker, may not
-    # have children, and a fork copies no thread but the caller's, so a
-    # lock another thread holds would stay held in the child.
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _shared_priors(table: AreaTable) -> dict[int, AreaConformalParams | Exception]:
-    """The priors of the areas with ``n_j >= 2``, fitted on every CPU the process may use.
-
-    The fits do not depend on each other, so with k = min(CPUs, areas)
-    the areas are dealt out in k interleaved shares: the caller fits one,
-    and k - 1 forked children fit the others, (a, b) rows included, and
-    send their results back over a pipe. Each fit runs the same
-    arithmetic in whichever process, so the results do not depend on k.
-    An error a fit raises comes back as the area's result. Every child is
-    joined before this returns or raises. With k = 1 no process is started.
-    """
-    areas = np.flatnonzero(table.n >= 2).tolist()
-    k = max(1, min(_cpus(), len(areas)))
-    children = []
-    try:
-        if k > 1:
-            import multiprocessing
-
-            table.ybar, table.s2  # computed once, before the fork, for every share
-            fork = multiprocessing.get_context("fork")
-            for share in range(1, k):
-                recv, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=_send_priors, args=(send, table, areas[share::k]))
-                child.start()
-                send.close()
-                children.append((child, recv))
-        priors = _priors(table, areas[::k])
-        for child, recv in children:
-            try:
-                priors.update(recv.recv())
-            except EOFError:
-                child.join()
-                message = f"a worker fitting area priors exited with code {child.exitcode}"
-                raise RuntimeError(message) from None
-        return priors
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
-
-
 def area_pipeline(
     table: AreaTable,
     alpha_mode: float | str = "exact",
@@ -1050,7 +973,7 @@ def area_pipeline(
     any fit. Each area's whole fit, from the full-map weights and its
     leave-one-out (a, b) row (bit-equal to one ``estimate_ab`` call) to its
     prior, runs on one of the CPUs the process may use (see :func:`_priors`
-    and :func:`_shared_priors`); the records do not depend on how many. An
+    and :func:`fabcp._fork.deal`); the records do not depend on how many. An
     area whose fit raises ``EstimationError`` or ``ValueError``, a rejected
     map included, gets a DTA interval flagged as a fallback, so every record
     keeps the conformal coverage guarantee; any other error re-raises.
@@ -1062,7 +985,10 @@ def area_pipeline(
     if not methods or not set(methods) <= {"fab", "dta"}:
         raise ValueError(f"methods must be a nonempty tuple of 'fab' and 'dta', got {methods!r}")
 
-    priors = _shared_priors(table) if "fab" in methods else {}
+    priors: dict[int, AreaConformalParams | Exception] = {}
+    if "fab" in methods:
+        table.ybar, table.s2  # computed once, before any fork, for every share
+        priors = _fork.deal(lambda share: _priors(table, share), np.flatnonzero(table.n >= 2).tolist())
 
     out: list[AreaPrediction] = []
     for j, (area, y) in enumerate(zip(table.ids, table.samples)):

@@ -32,6 +32,15 @@ from scipy.special import gammaln
 
 from ._sum import fsum
 
+__all__ = [
+    "WorkingModelParams",
+    "PosteriorPredictive",
+    "posterior_params",
+    "log_predictive_density",
+    "predictive_density",
+    "posterior_mean_theta",
+]
+
 
 @dataclass(frozen=True)
 class WorkingModelParams:

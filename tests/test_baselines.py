@@ -217,6 +217,13 @@ class TestEBInterval:
         assert (pivot.lower, pivot.upper) == (1.0, 1.0)
 
 
+    def test_overflowing_prior_term_names_mu_and_tau2(self):
+        """On (1, 2, 3.5) the interval came back as (inf, inf)."""
+        message = r"^the prior term mu / tau2 overflows: mu = 1e\+300, tau2 = 1e-10$"
+        with pytest.raises(ValueError, match=message):
+            eb_interval([1.0, 2.0, 3.5], 0.25, 1e300, 1e-10)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_parametric_intervals_reject_non_finite_samples(bad):
     y = [1.0, bad, 2.0]

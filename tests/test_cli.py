@@ -189,6 +189,27 @@ class TestPredict:
         message = "error: --tau2 must be large enough that 1/tau2 is finite, got 1e-320\n"
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("precision", ["inf", "nan"])
+    def test_non_finite_precision_names_the_flag(self, tmp_path, capsys, precision):
+        """inf said "precision must be finite and nonnegative, got inf", naming no flag."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.5])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--precision", precision, "--alpha", "0.25",
+        )
+        assert (code, out, err) == (1, "", f"error: --precision must be finite, got {precision}\n")
+
+    def test_overflowing_prior_term_is_one_error_line(self, tmp_path, capsys):
+        """The run exited 0 with upper and theta_tilde both "inf"."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.5])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--mu", "1e300", "--tau2", "1e-10", "--alpha", "0.25",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the prior term 2 * mu * precision overflows: mu = 1e+300, ")
+        assert err.count("\n") == 1
+
     def test_invalid_flag_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0])
@@ -243,6 +264,19 @@ class TestGenData:
         )
         assert (code, out, err) == (1, "", "error: --seed must be a nonnegative integer, got -1\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sizes, message", [
+        (("--n-min", "0"), "--n-min must be at least 1, got 0"),
+        (("--n-min", "5", "--n-max", "2"), "--n-max 2 is below --n-min 5"),
+    ], ids=["n_min_zero", "n_max_below_n_min"])
+    def test_bad_sample_size_range_names_the_flags(self, tmp_path, capsys, sizes, message):
+        """Both used to say "invalid n_range"."""
+        (tmp_path / "d_truth.json").mkdir()  # an unwritable path, not reached
+        code, out, err = run_cli(
+            capsys, "gen-data", "--J", "5", *sizes, "--out-prefix", str(tmp_path / "d"),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d_truth.json"]
 
     def test_unwritable_path_writes_no_file(self, tmp_path, capsys):
         """The areas and samples files used to be written before the truth path failed."""

@@ -277,10 +277,13 @@ _ROW = np.array([[1.0, 2.0, 3.0]])
     (lambda: reflect_bounds(_ROW, 6.0, 0.0, 1.0, -1), "k"),
     (lambda: fab_interval_from_precision([1.0], 0.0, 1e-20, 0.6), "precision"),
     (lambda: sub_regions([1.0], WorkingModelParams(0.0, 1e17, 1.0, 1.0)), "precision"),
+    (lambda: fab_interval_from_precision([1.0, 2.0, 3.5], 1e300, 1e10, 0.25),
+     r"^the prior term 2 \* mu \* precision overflows: mu = 1e\+300, "),
 ], ids=["mu_nan", "precision_inf", "precision_negative", "precision_nan_k0", "k_above_n",
-        "k_negative", "n1_precision_vanishes", "sub_regions_n1_tau2_1e17"])
+        "k_negative", "n1_precision_vanishes", "sub_regions_n1_tau2_1e17", "prior_term_overflows"])
 def test_reflection_rules(call, name):
-    """These gave NaN, wrong or reversed bounds, the whole line, an IndexError or a numpy warning."""
+    """These gave NaN, wrong or reversed bounds, the whole line, an IndexError, a numpy warning
+    or (the prior term) an infinite upper bound."""
     with pytest.raises(ValueError, match=name):
         call()
 
