@@ -34,7 +34,7 @@ import numpy as np
 
 from . import simulate
 from .fab import fab_interval_from_precision
-from .simulate import _fmt
+from .intervals import _fmt
 from .small_area import AreaTable, area_pipeline, generate_table
 from .working_model import posterior_mean_theta, WorkingModelParams
 
@@ -60,11 +60,10 @@ class CSVFormatError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage errors with exit code 1."""
+    """argparse parser that reports a usage error as one ``error:`` line with exit code 1."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_BAD_FLAGS, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_BAD_FLAGS, f"error: {message}\n")
 
 
 def _dump_json(obj: dict) -> str:
@@ -199,6 +198,8 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha!r}")
     sample = load_value_csv(args.input)
     precision = args.precision
     if precision is not None and args.tau2 is not None:
@@ -352,12 +353,21 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
+    if args.J < 2:
+        raise ValueError(f"--J must be at least 2, got {args.J}")
+    if not -1.0 < args.rho < 1.0:
+        raise ValueError(f"--rho must be in (-1, 1), got {args.rho!r}")
+    try:
+        beta = _split(float)(args.beta)
+    except ValueError:
+        beta = ()
+    if len(beta) != 2:
+        raise ValueError(f"--beta must be two comma-separated numbers, got {args.beta!r}")
     paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
     for path in paths:
         _check_output(path)  # one unwritable path fails the run before any file is written
     areas_path, samples_path, truth_path = paths
     rng = np.random.default_rng(args.seed)
-    beta = _split(float)(args.beta)
     table, truth = generate_table(
         J=args.J,
         n_range=(args.n_min, args.n_max),

@@ -1,4 +1,4 @@
-"""Shared prediction-interval record returned by every interval method."""
+"""Shared prediction-interval record returned by every interval method, and the output float format."""
 
 from __future__ import annotations
 
@@ -6,6 +6,13 @@ import math
 from dataclasses import dataclass
 
 __all__ = ["PredictionInterval"]
+
+
+def _fmt(x: float) -> str:
+    """A float at 17 significant digits, infinities as ``inf``/``-inf``."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from scipy.special import ndtri
 from ._sum import fsum
 from .baselines import eb_bounds, pivot_bounds
 from .fab import reflect_bounds
+from .intervals import _fmt
 
 __all__ = [
     "SimConfig",
@@ -89,6 +90,11 @@ class SimConfig:
                 raise ValueError(f"tau2 must be large enough that 1/tau2 is finite, got {t!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
+        # The prior terms the kernels check: 2 * mu * precision in fab, mu / tau2 in eb.
+        for t in self.tau2_list:
+            if ("fab" in self.methods and not math.isfinite(2.0 * self.mu * (1.0 / t))
+                    or "eb" in self.methods and not math.isfinite(self.mu / t)):
+                raise ValueError(f"mu = {self.mu!r} and tau2_list entry {t!r} overflow the prior term")
         if not all(math.isfinite(t) for t in self.theta_grid):
             raise ValueError("theta_grid values must be finite")
         unknown = set(self.methods) - set(_METHODS)
@@ -116,13 +122,6 @@ class SimRow:
     inf_width_count: int = 0
     mean_lower: float = math.nan
     mean_upper: float = math.nan
-
-
-def _fmt(x: float) -> str:
-    """A float at 17 significant digits, infinities as ``inf``/``-inf``."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
 
 
 _CSV_HEADER = (

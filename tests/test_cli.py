@@ -217,6 +217,21 @@ class TestPredict:
             main(["predict", "--input", str(f), "--alpha", "0.25", "--method", "spline"])
         assert excinfo.value.code == 1
 
+    def test_unparsable_flag_is_one_error_line(self, tmp_path, capsys):
+        """argparse printed a usage block, then "fabcp predict: error: ..."."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict", "--input", str(tmp_path / "s.csv"), "--alpha", "abc"])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr() == ("", "error: argument --alpha: invalid float value: 'abc'\n")
+
+    @pytest.mark.parametrize("alpha, shown", [("7", "7.0"), ("0", "0.0"), ("nan", "nan")])
+    def test_bad_alpha_names_the_flag_before_reading_input(self, tmp_path, capsys, alpha, shown):
+        """The message named the library's alpha, and came only after --input was read."""
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(tmp_path / "missing.csv"), "--tau2", "1", "--alpha", alpha,
+        )
+        assert (code, out, err) == (1, "", f"error: --alpha must be in (0, 1), got {shown}\n")
+
 
 class TestGenData:
     def test_deterministic_outputs(self, tmp_path, capsys):
@@ -277,6 +292,18 @@ class TestGenData:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["d_truth.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--J", "1"), "--J must be at least 2, got 1"),
+        (("--J", "5", "--rho", "1"), "--rho must be in (-1, 1), got 1.0"),
+        (("--J", "5", "--beta", "abc"), "--beta must be two comma-separated numbers, got 'abc'"),
+        (("--J", "5", "--beta", "1,2,3"), "--beta must be two comma-separated numbers, got '1,2,3'"),
+    ], ids=["J_one", "rho_one", "beta_not_a_number", "beta_three_values"])
+    def test_bad_model_flag_names_the_flag(self, tmp_path, capsys, flags, message):
+        """These named the library's argument, or ("abc") gave only float()'s complaint."""
+        (tmp_path / "d_truth.json").mkdir()  # an unwritable path, not reached
+        code, out, err = run_cli(capsys, "gen-data", *flags, "--out-prefix", str(tmp_path / "d"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_unwritable_path_writes_no_file(self, tmp_path, capsys):
         """The areas and samples files used to be written before the truth path failed."""
@@ -521,6 +548,26 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize("methods", [(), ("--methods", "eb")], ids=["default", "eb"])
+    def test_overflowing_prior_term_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, methods):
+        """This failed in the first cell, with the fab or eb kernel's message naming neither flag."""
+        draws = []
+        monkeypatch.setattr("fabcp.simulate._cell_uniforms", lambda *args: draws.append(args))
+        out = tmp_path / "widths.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--experiment", "expected-width", "--mu", "1e300", "--tau2-list", "1e-10",
+            *methods, "--output", str(out),
+        )
+        assert (code, err) == (1, "error: mu = 1e+300 and tau2_list entry 1e-10 overflow the prior term\n")
+        assert draws == [] and not out.exists()
+
+    def test_overflowing_prior_term_unchecked_without_fab_or_eb(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--experiment", "expected-width", "--mu", "1e300", "--tau2-list", "1e-10",
+            "--methods", "dta,pivot_z", "--replications", "50", "--output", str(tmp_path / "widths.csv"),
+        )
+        assert (code, err) == (0, "")
 
     def test_sample_size_beyond_32_draws_runs(self, tmp_path, capsys):
         out = tmp_path / "coverage.csv"
@@ -870,3 +917,14 @@ def test_import_does_not_load_scipy_optimize():
     )
     src = str(Path(fabcp.__file__).resolve().parent.parent)
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("command", [(), ("predict",), ("small-area",), ("simulate",), ("gen-data",)],
+                         ids=["fabcp", "predict", "small-area", "simulate", "gen-data"])
+def test_help_prints_usage(capsys, command):
+    """argparse formats help strings only under --help, so a malformed one fails only there."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: fabcp", *command]) + " ")

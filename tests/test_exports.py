@@ -22,3 +22,9 @@ def test_all_names_every_public_definition(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+def test_package_exports_every_public_name():
+    """``fabcp`` re-exports the ``__all__`` of each public module but ``cli``; seven names were missing."""
+    modules = [m for m in _MODULES if not m.__name__.startswith(("fabcp._", "fabcp.cli"))]
+    assert [name for m in modules for name in m.__all__ if not hasattr(fabcp, name)] == []

@@ -303,6 +303,15 @@ class TestConfigValidation:
             bayes_risk_ratio((3,), (0.5, tau2), 0.25, 50, 1)
         assert draws == []
 
+    def test_overflowing_prior_term_rejected(self, monkeypatch):
+        """This ran the tau2 = 0.5 cell, then failed in fab._reflect, naming neither argument."""
+        draws = []
+        monkeypatch.setattr("fabcp.simulate._cell_uniforms", lambda *args: draws.append(args))
+        message = r"^mu = 1e\+300 and tau2_list entry 1e-10 overflow the prior term$"
+        with pytest.raises(ValueError, match=message):
+            bayes_risk_ratio((3,), (0.5, 1e-10), 0.25, 50, 1, mu=1e300)
+        assert draws == []
+
     def test_tau2_just_above_the_overflow_edge_accepted(self):
         tau2 = 5.6e-309
         assert math.isfinite(1.0 / tau2)
