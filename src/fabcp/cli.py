@@ -357,12 +357,19 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError(f"--J must be at least 2, got {args.J}")
     if not -1.0 < args.rho < 1.0:
         raise ValueError(f"--rho must be in (-1, 1), got {args.rho!r}")
+    if not 0.0 <= args.eta2 < math.inf:
+        raise ValueError(f"--eta2 must be finite and nonnegative, got {args.eta2!r}")
+    for flag, value in (("--a", args.a), ("--b", args.b)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
     try:
         beta = _split(float)(args.beta)
     except ValueError:
         beta = ()
     if len(beta) != 2:
         raise ValueError(f"--beta must be two comma-separated numbers, got {args.beta!r}")
+    if not all(map(math.isfinite, beta)):
+        raise ValueError(f"--beta must be two finite numbers, got {args.beta!r}")
     paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
     for path in paths:
         _check_output(path)  # one unwritable path fails the run before any file is written

@@ -10,12 +10,15 @@ from the inverse CDF, one uniform per draw. A seed must lie in
 ``[0, 2**64)``, the width of a Philox key word, so no two seeds share a
 stream.
 
-Each experiment is a list of cells and a draw rule, run by one loop; cell
-i draws from stream ``(seed, i)``. Cells run n first, then tau2, then
-theta. ``bayes_risk_ratio`` has (n, tau2) cells and draws
-``theta ~ N(mu, tau2)``, so it rejects an infinite tau2, which the other
-experiments take as the diffuse prior. The ``fab/dta`` row is NaN when a
-width is infinite or the mean DTA width is zero.
+Each experiment is a list of cells and a draw rule; cell i draws from
+stream ``(seed, i)``. Cells run n first, then tau2, then theta. A cell
+depends on nothing but the config and its index, so the cells are dealt
+over the CPUs of the process's affinity mask (``fabcp._fork.deal``), and
+a report does not depend on how many ran it. ``bayes_risk_ratio`` has
+(n, tau2) cells and draws ``theta ~ N(mu, tau2)``, so it rejects an
+infinite tau2, which the other experiments take as the diffuse prior.
+The ``fab/dta`` row is NaN when a width is infinite or the mean DTA width
+is zero.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from . import _fork
 from ._sum import fsum
 from .baselines import eb_bounds, pivot_bounds
 from .fab import reflect_bounds
@@ -309,14 +313,19 @@ def _sweep(
     ``(seed, i)``; ``draw(config, u, tau2, theta)`` turns them into one row
     of draws per replication. A draw past the first n is the next
     observation, and the rows then carry coverage. ``endpoints`` adds the
-    mean interval endpoints.
+    mean interval endpoints. The cells are dealt over the CPUs of the
+    process's affinity mask (:func:`fabcp._fork.deal`) and their rows put
+    back in cell order, so the report does not depend on how many CPUs
+    ran it. A cell that raises stops the sweep with the error of the
+    first such cell in cell order.
     """
-    rows: list[SimRow] = []
-    for cell, (n, tau2, theta) in enumerate(cells):
+    def cell_rows(cell: int) -> list[SimRow]:
+        n, tau2, theta = cells[cell]
         u = _cell_uniforms(config.seed, cell, config.replications, n + extra)
         draws = draw(config, u, tau2, theta)
         samples, y_next = draws[:, :n], (draws[:, n] if draws.shape[1] > n else None)
         base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
+        rows = []
         widths: dict[str, np.ndarray] = {}
         for method in config.methods:
             lower, upper = _method_bounds(method, samples, config.alpha, config.mu, tau2).T
@@ -332,7 +341,37 @@ def _sweep(
         if ratio and "fab" in widths and "dta" in widths:
             r, se = _ratio_stats(widths["fab"], widths["dta"])
             rows.append(replace(base, method="fab/dta", mean_width=r, width_se=se))
+        return rows
+
+    def share_rows(share: list[int]) -> dict[int, list[SimRow] | Exception]:
+        results: dict[int, list[SimRow] | Exception] = {}
+        for cell in share:
+            try:
+                results[cell] = cell_rows(cell)
+            except Exception as error:
+                results[cell] = error
+                break  # the share's later cells come after this one in cell order
+        return results
+
+    results = _fork.deal(share_rows, list(range(len(cells))))
+    rows: list[SimRow] = []
+    for cell in range(len(cells)):
+        if isinstance(results[cell], Exception):
+            raise results[cell]
+        rows.extend(map(_math_nan, results[cell]))
     return SimReport(rows=tuple(rows))
+
+
+def _math_nan(row: SimRow) -> SimRow:
+    """``row`` with every NaN field set to the object ``math.nan``.
+
+    Rows sent back by a forked child hold NaNs unpickled as new objects,
+    and dataclass ``==`` compares fields as tuples do, where a NaN equals
+    only itself; so without this, reports equal in every bit would compare
+    unequal depending on which process ran a cell.
+    """
+    nans = {f.name: math.nan for f in fields(row) if getattr(row, f.name) != getattr(row, f.name)}
+    return replace(row, **nans) if nans else row
 
 
 def _grid(config: SimConfig) -> list[tuple[int, float, float]]:

@@ -17,8 +17,10 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 def pin_cpus(monkeypatch):
     """``pin_cpus(k)`` makes the process's CPU affinity mask read as k CPUs.
 
-    ``area_pipeline`` shares its areas out over as many processes as the
-    mask holds CPUs, so this sets how many it uses.
+    ``area_pipeline`` shares its areas, and ``simulate``'s experiments their
+    cells, out over as many processes as the mask holds CPUs, so this sets
+    how many they use. Only the Python call is patched; the process's real
+    mask is unchanged.
     """
     def pin(k: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
@@ -28,7 +30,7 @@ def pin_cpus(monkeypatch):
 
 @pytest.fixture
 def one_cpu(pin_cpus):
-    """Pin the process to one CPU: the pipeline then fits every area in-process.
+    """Pin the process to one CPU: every area fit and simulator cell runs in-process.
 
     Tests that count calls through monkeypatched module attributes need it,
     because calls made in a forked worker are counted in the worker.

@@ -269,7 +269,7 @@ class TestGenData:
             capsys, "gen-data", "--J", "5", flag, value, "--out-prefix", str(tmp_path / "d"),
         )
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {flag[2:]} must be finite and ") and err.count("\n") == 1
+        assert err.startswith(f"error: {flag} must be finite and ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
@@ -298,9 +298,16 @@ class TestGenData:
         (("--J", "5", "--rho", "1"), "--rho must be in (-1, 1), got 1.0"),
         (("--J", "5", "--beta", "abc"), "--beta must be two comma-separated numbers, got 'abc'"),
         (("--J", "5", "--beta", "1,2,3"), "--beta must be two comma-separated numbers, got '1,2,3'"),
-    ], ids=["J_one", "rho_one", "beta_not_a_number", "beta_three_values"])
+        (("--J", "5", "--beta", "nan,0"), "--beta must be two finite numbers, got 'nan,0'"),
+        (("--J", "5", "--beta", "inf,0"), "--beta must be two finite numbers, got 'inf,0'"),
+        (("--J", "5", "--eta2", "-1"), "--eta2 must be finite and nonnegative, got -1.0"),
+        (("--J", "5", "--a", "nan"), "--a must be finite and positive, got nan"),
+        (("--J", "5", "--b", "0"), "--b must be finite and positive, got 0.0"),
+    ], ids=["J_one", "rho_one", "beta_not_a_number", "beta_three_values", "beta_nan", "beta_inf",
+            "eta2_negative", "a_nan", "b_zero"])
     def test_bad_model_flag_names_the_flag(self, tmp_path, capsys, flags, message):
-        """These named the library's argument, or ("abc") gave only float()'s complaint."""
+        """These named the library's argument, or ("abc") gave only float()'s complaint;
+        a non-finite --beta failed on the drawn samples with a message naming no flag."""
         (tmp_path / "d_truth.json").mkdir()  # an unwritable path, not reached
         code, out, err = run_cli(capsys, "gen-data", *flags, "--out-prefix", str(tmp_path / "d"))
         assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fabcp.fab import fab_interval, reflect_bounds
 from fabcp.simulate import (
     SimConfig,
     _cell_uniforms,
+    _method_bounds,
     _ratio_stats,
     bayes_risk_ratio,
     bounds_profile,
@@ -234,6 +237,73 @@ class TestBoundsProfile:
         at_mu_fab = rep.find("fab", theta_minus_mu=0.0)
         at_mu_dta = rep.find("dta", theta_minus_mu=0.0)
         assert at_mu_fab.mean_width < at_mu_dta.mean_width - 0.3
+
+
+# n = 2 at alpha = 0.25 is a k = 0 cell (infinite widths, NaN ratio); at
+# seed 0, (n = 3, theta = 0, tau2 = inf) draws its one mixture replication
+# on one atom, a zero DTA width and again a NaN ratio. 18 cells.
+_NAN_GRID = SimConfig(methods=("fab", "dta", "pivot_z", "pivot_t", "eb"), n_list=(2, 3, 4),
+                      alpha=0.25, theta_grid=(0.0, 1.0, 2.0), tau2_list=(0.5, math.inf),
+                      replications=1, seed=0, population="mixture")
+
+_needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                 reason="cells are dealt out only where the process can fork")
+
+
+class TestCpuCount:
+    """The cells are dealt over the affinity mask's CPUs; no report may depend on how many."""
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: expected_width(_NAN_GRID),
+        lambda: coverage_experiment(_NAN_GRID),
+        lambda: bayes_risk_ratio((2, 3, 4), (0.5, 2.0), 0.25, 4, 0),
+        lambda: bounds_profile(_NAN_GRID),
+    ], ids=["expected_width", "coverage", "bayes_risk", "bounds"])
+    def test_report_does_not_depend_on_cpu_count(self, pin_cpus, tmp_path, experiment):
+        """Three CPUs give uneven shares; ``==`` also fails on a NaN that crossed a pipe."""
+        reports, csvs = [], []
+        for cpus in (1, 2, 3):
+            pin_cpus(cpus)
+            reports.append(experiment())
+            reports[-1].to_csv(str(tmp_path / "report.csv"))
+            csvs.append((tmp_path / "report.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+        assert any(math.isnan(r.mean_width) or math.isinf(r.mean_width) for r in reports[0].rows)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+    def test_grid_has_infinite_and_zero_width_cells(self):
+        report = expected_width(_NAN_GRID)
+        assert report.find("dta", n=2, theta_minus_mu=0.0, tau2=0.5).mean_width == math.inf
+        assert report.find("dta", n=3, theta_minus_mu=0.0, tau2=math.inf).mean_width == 0.0
+
+    @_needs_fork
+    @pytest.mark.parametrize("failing, first", [((5,), 5), ((5, 7), 5), ((3, 5), 3)],
+                             ids=["child", "child_first", "caller_first"])
+    def test_first_failing_cell_in_cell_order_raises(self, pin_cpus, monkeypatch, failing, first):
+        """Under two CPUs cells 0 and 2 (n = 3, 7) run in the caller, 1 and 3 (n = 5, 9) in a child."""
+        def method_bounds(method, samples, *args):
+            if samples.shape[1] in failing:
+                raise ZeroDivisionError(f"injected at n = {samples.shape[1]}")
+            return _method_bounds(method, samples, *args)
+
+        monkeypatch.setattr("fabcp.simulate._method_bounds", method_bounds)
+        config = SimConfig(n_list=(3, 5, 7, 9), replications=8)
+        errors = []
+        for cpus in (1, 2):
+            pin_cpus(cpus)
+            with pytest.raises(ZeroDivisionError) as info:
+                expected_width(config)
+            errors.append(info.value)
+        assert multiprocessing.active_children() == []
+        assert [str(error) for error in errors] == [f"injected at n = {first}"] * 2
+        assert not hasattr(errors[0], "__notes__")  # one CPU: every cell ran in the caller
+        notes = getattr(errors[1], "__notes__", [])
+        if first == 5:  # cell 1, run by the child
+            assert len(notes) == 1 and notes[0].startswith("In a worker process:\n")
+            assert ", in method_bounds\n" in notes[0]
+        else:
+            assert notes == []
 
 
 class TestReportSerialization:
