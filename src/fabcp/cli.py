@@ -220,7 +220,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     # DTA is the FAB interval with zero prior precision
     mu, precision = (args.mu, precision) if args.method == "fab" else (0.0, 0.0)
 
-    interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
+    # An overflowing endpoint raises one ValueError; numpy's warnings on the way say no more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
     # A precision whose reciprocal overflows is the diffuse prior, as 0 is.
     tau2 = 1.0 / precision if precision > 0.0 else math.inf
     if math.isfinite(tau2):

@@ -10,6 +10,10 @@ from the k-th to the (2n-k+1)-th order statistic. The whole construction
 is O(n log n) and does not depend on the inverse-gamma hyperparameters
 (a, b), which cancel from every score comparison.
 
+The pool is the only array of size n the kernel makes: one ``(rows, 2n)``
+buffer holding the samples in its first half, with the reflections
+written into its second half and sorted in place.
+
 A diffuse prior is expressed by the explicit ``precision = 0`` entry point
 rather than an infinite ``tau2``, which keeps the arithmetic free of
 floating-point infinities; with zero precision the reflection reduces
@@ -55,13 +59,20 @@ class SubRegion:
             raise ValueError("sub-region bounds out of order")
 
 
-def _reflect(y: float | np.ndarray, sums: float | np.ndarray, n: int, mu: float, precision: float):
+def _reflect(
+    y: float | np.ndarray, sums: float | np.ndarray, n: int, mu: float, precision: float,
+    out: np.ndarray | None = None,
+):
     """Reflection of ``y`` about ``(mu * precision + sums) / (precision + n)``, elementwise.
 
     The only code that builds it and checks its prior, by rules NaN fails: ``mu`` finite,
     ``precision`` finite and >= 0, ``2 * mu * precision`` finite, and ``c - 2 > 0`` for
     ``c = precision + n + 1`` (the diffuse prior needs ``n >= 2``; at ``n = 1``,
     ``precision + 2`` must not round to 2).
+
+    A float ``y`` gives a float. An array ``y`` gives its reflection in ``out`` when
+    given, which must have the dtype numpy promotes ``y``, ``sums``, ``mu`` and
+    ``precision`` to, or else in a new array of ``y``'s dtype.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -73,7 +84,13 @@ def _reflect(y: float | np.ndarray, sums: float | np.ndarray, n: int, mu: float,
     if not c - 2.0 > 0.0:
         raise ValueError("the diffuse prior requires n >= 2, and n = 1 needs 1/tau2 + 2 > 2; "
                          f"got n = {n}, precision = {precision}")
-    return (2.0 * (mu * precision + sums) - c * y) / (c - 2.0)
+    # (A - c * y) / (c - 2) for A = 2 * (mu * precision + sums), in place and bit for bit:
+    # negation is exact, and A + (-x) is A - x. A float32 y is multiplied in float32 even
+    # into a float64 ``out``, as ``c * y`` is.
+    r = (-c) * y if out is None else np.multiply(y, -c, out)
+    r += 2.0 * (mu * precision + sums)
+    r /= c - 2.0
+    return r
 
 
 def reflect_bounds(
@@ -101,6 +118,15 @@ def reflect_bounds(
         The k-th and (2n-k+1)-th order statistics of ``{y_i} U {g(y_i)}``
         per row; ``-inf``/``+inf`` rows when ``k = 0``. A new array, not a
         view: it holds ``2 * rows`` values, not the sorted ``(rows, 2n)`` pool.
+
+    Notes
+    -----
+    The pool is one ``(rows, 2n)`` buffer: the samples are copied into its
+    first half, their reflections written into its second half, and it is
+    sorted in place. It holds the values of ``concatenate([samples, g])`` in
+    that order and in the dtype numpy gives that concatenation, so the sort
+    gives the same bits, signed zeros included. Its size is the call's peak
+    beyond the inputs: twice the samples' bytes.
     """
     rows, n = samples.shape
     if not 0 <= k <= n:
@@ -110,7 +136,14 @@ def reflect_bounds(
         # k = 0 accepts the whole real line; reflecting a scalar checks the prior.
         _reflect(0.0, 0.0, n, mu, precision)
         return np.full((rows, 2), (-np.inf, np.inf))
-    v = np.concatenate([samples, _reflect(samples, sums, n, mu, precision)], axis=1)
+    # The dtype numpy gives the concatenation of the samples and their reflection. A Python
+    # float takes a float array's dtype, so the one-sample path makes no numpy call here.
+    dtype = samples.dtype
+    if not (type(sums) is type(mu) is type(precision) is float and dtype.kind == "f"):
+        dtype = np.result_type(samples, sums, mu, precision)
+    v = np.empty((rows, 2 * n), dtype)
+    v[:, :n] = samples
+    _reflect(samples, sums, n, mu, precision, out=v[:, n:])
     v.sort(axis=1)
     # Columns k-1 and 2n-k by one strided slice, which costs less than a fancy index;
     # the copy lets the pool go, where the simulator would otherwise keep it alive.
@@ -154,14 +187,18 @@ def fab_interval_from_precision(
     """Exact FAB interval parameterized by the prior precision ``1/tau2``.
 
     ``precision = 0`` gives the diffuse prior (``mu`` is then irrelevant but
-    finite) and requires ``n >= 2``; ``reflect_bounds`` checks the prior.
+    finite) and requires ``n >= 2``; ``reflect_bounds`` checks the prior. With
+    ``k >= 1``, an endpoint that overflows the double range raises ``ValueError``.
     """
     y = _as_sample(sample)
     n = y.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k = math.floor(alpha * (n + 1))
-    lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k)[0].tolist()
+    lower, upper = reflect_bounds(y[None, :], fsum(y), mu, precision, k).tolist()[0]
+    if k and not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"the interval endpoints overflow: mu = {mu}, precision = {precision}, "
+                         f"largest |y| = {float(np.max(np.abs(y)))}")
     return PredictionInterval(lower, upper, alpha, 1.0 - k / (n + 1), k=k)
 
 

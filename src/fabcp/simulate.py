@@ -199,7 +199,10 @@ def _cell_uniforms(seed: int, cell: int, reps: int, m: int) -> np.ndarray:
 
 
 def _normals(u: np.ndarray) -> np.ndarray:
-    return ndtri(np.clip(u, _U_LO, _U_HI))
+    """Standard normals from uniforms ``u``: one new contiguous array, ``u`` left as it is."""
+    # In place over the clipped copy; ndtri over the strided uniforms in place costs more.
+    z = np.clip(u, _U_LO, _U_HI)
+    return ndtri(z, out=z)
 
 
 def sample_population(pop: str, theta: float, n: int, rng: Generator) -> np.ndarray:
@@ -217,7 +220,9 @@ def sample_population(pop: str, theta: float, n: int, rng: Generator) -> np.ndar
 def _transform(pop: str, theta: float, u: np.ndarray) -> np.ndarray:
     """Population draws at location ``theta`` from uniforms ``u``, elementwise."""
     if pop == "normal":
-        return theta + _normals(u)
+        z = _normals(u)
+        z += theta
+        return z
     if pop == "mixture":
         return np.where(u < 0.5, theta - 1.0, theta + 1.0)
     raise ValueError(f"unknown population {pop!r}")
@@ -385,7 +390,9 @@ def _population_draws(config: SimConfig, u: np.ndarray, tau2: float, theta: floa
 def _linked_draws(config: SimConfig, u: np.ndarray, tau2: float, theta: float) -> np.ndarray:
     """theta ~ N(mu, tau2) per replication, in place of the cell's, then y | theta ~ N(theta, 1)."""
     drawn = config.mu + math.sqrt(tau2) * _normals(u[:, 0])
-    return drawn[:, None] + _normals(u[:, 1:])
+    y = _normals(u[:, 1:])
+    y += drawn[:, None]
+    return y
 
 
 def expected_width(config: SimConfig) -> SimReport:

@@ -6,6 +6,7 @@ costs far more than it saves (an order of magnitude on a two-core box).
 """
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -36,3 +37,22 @@ def one_cpu(pin_cpus):
     because calls made in a forked worker are counted in the worker.
     """
     pin_cpus(1)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)`` is ``(call(), peak bytes that call allocated)``, numpy's included.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts
+    every temporary the call held at once, above what was live before it.
+    """
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return peak

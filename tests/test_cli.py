@@ -210,6 +210,20 @@ class TestPredict:
         assert err.startswith("error: the prior term 2 * mu * precision overflows: mu = 1e+300, ")
         assert err.count("\n") == 1
 
+    def test_overflowing_endpoint_is_one_error_line(self, tmp_path, capsys):
+        """The run warned of an overflow in multiply, then exited 0 with lower "-inf"."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "predict", "--input", str(f), "--method", "fab", "--mu", "0",
+                "--precision", "1.7e308", "--alpha", "0.5",
+            )
+        message = ("error: the interval endpoints overflow: mu = 0.0, precision = 1.7e+308, "
+                   "largest |y| = 3.5\n")
+        assert (code, out, err) == (1, "", message)
+
     def test_invalid_flag_exits_one(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         write_values(f, [1.0])

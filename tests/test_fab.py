@@ -264,6 +264,43 @@ class TestReflectBounds:
                 assert [_bits(lo, hi) for lo, hi in b.tolist()] == [
                     _bits(lo, hi) for lo, hi in expected]
 
+    @pytest.mark.parametrize("sums, dtype", [
+        (lambda samples: 7.25, np.float32),
+        (lambda samples: samples.sum(axis=1, keepdims=True), np.float32),
+        (lambda samples: samples.sum(axis=1, keepdims=True, dtype=np.float64), np.float64),
+    ], ids=["float_sum", "float32_sums", "float64_sums"])
+    def test_pool_keeps_the_promoted_dtype(self, sums, dtype):
+        """float32 samples give the dtype and bits of concatenating them with their reflection."""
+        n, mu, precision = 9, 0.3, 1.5
+        samples = np.round(np.random.default_rng(4).normal(size=(3, n)) * 3.0, 1).astype(np.float32)
+        s = sums(samples)
+        c = precision + (n + 1.0)
+        reflection = (2.0 * (mu * precision + s) - c * samples) / (c - 2.0)
+        pool = np.sort(np.concatenate([samples, reflection], axis=1), axis=1)
+        assert pool.dtype == dtype
+        for k in (1, 4, n):
+            b = reflect_bounds(samples, s, mu, precision, k)
+            assert b.dtype == dtype
+            assert b.tobytes() == pool[:, [k - 1, 2 * n - k]].tobytes()
+
+    def test_pool_is_the_only_large_allocation(self, traced_peak):
+        """A reflection built out of place and then concatenated peaked at 3.0 x the samples."""
+        samples = np.random.default_rng(5).normal(size=(1, 10**5))
+        sums = samples.sum(axis=1, keepdims=True)
+        _, peak = traced_peak(lambda: reflect_bounds(samples, sums, 0.3, 2.0, 10))
+        assert peak <= 2.2 * samples.nbytes
+
+
+@pytest.mark.parametrize("sample, precision, alpha, message", [
+    ([1.0, 2.0, 3.5], 1.7e308, 0.5, "mu = 0.0, precision = 1.7e+308, largest |y| = 3.5"),
+    ([1e308, -1e308, 0.5], 0.0, 0.25, "mu = 0.0, precision = 0.0, largest |y| = 1e+308"),
+], ids=["tight_prior", "diffuse_large_values"])
+def test_overflowing_endpoint_raises(sample, precision, alpha, message):
+    """The reflection overflowed, and the interval came back with an infinite endpoint."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as err:
+        fab_interval_from_precision(sample, 0.0, precision, alpha)
+    assert str(err.value) == "the interval endpoints overflow: " + message
+
 
 _ROW = np.array([[1.0, 2.0, 3.0]])
 
