@@ -5,7 +5,9 @@ or an output path that cannot be written, counts as one), 2 malformed
 input data, such as a non-numeric or non-finite field (reported with a
 line number), an input with no data rows, or finite sample values whose
 sum overflows (two values of 1e308 in one sample), 3 rank-deficient
-covariate matrix. Every error is one ``error:`` line on stderr, and a
+covariate matrix (only when ``small-area`` fits FAB; DTA reads no
+covariate). ``predict --method dta`` takes neither ``--tau2`` nor
+``--precision``. Every error is one ``error:`` line on stderr, and a
 failed run leaves its output paths as they were. Rows whose fields are
 all blank are skipped in every input CSV.
 
@@ -28,7 +30,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -217,6 +219,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             raise ValueError(f"--tau2 must be large enough that 1/tau2 is finite, got {args.tau2!r}")
     elif args.method == "fab":
         raise ValueError("--method fab needs --tau2 or --precision")
+    if args.method == "dta" and precision is not None:
+        flag = "--precision" if args.tau2 is None else "--tau2"
+        raise ValueError(f"{flag} cannot be given with --method dta")
     # DTA is the FAB interval with zero prior precision
     mu, precision = (args.mu, precision) if args.method == "fab" else (0.0, 0.0)
 
@@ -255,10 +260,11 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
         if not 0.0 < alpha_mode < 1.0:
             raise ValueError(f"--alpha must be in (0, 1), got {alpha_mode!r}")
     table = load_area_table(args.areas, args.samples, standardize=args.standardize)
-    if np.linalg.matrix_rank(table.X) < table.X.shape[1]:
+    methods = ("fab", "dta") if args.method == "both" else (args.method,)
+    # Only the FAB prior's mean model reads the covariates.
+    if "fab" in methods and np.linalg.matrix_rank(table.X) < table.X.shape[1]:
         print("error: covariate matrix is rank deficient", file=sys.stderr)
         return EXIT_RANK_DEFICIENT
-    methods = ("fab", "dta") if args.method == "both" else (args.method,)
     if args.output != "-":
         _check_output(args.output)  # an unwritable path fails before any fit
     records = area_pipeline(table, alpha_mode, methods)
@@ -287,21 +293,17 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _split(kind):
-    """Parser of comma-separated ``kind`` values; blank items are skipped."""
-    return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
+    """Parser of comma-separated ``kind`` values, each stripped; blank items are skipped."""
+    return lambda text: tuple(kind(v.strip()) for v in text.split(",") if v.strip())
 
 
-# Each SimConfig field with the parser of its text, from a config file or a flag.
+# Each SimConfig field with the parser of its text, from a config file or a flag, by its
+# type; a tuple[T, ...] field is comma-separated T values.
+_PARSERS = {str: str, int: int, float: float}
 _SIM_FIELDS = {
-    "methods": _split(str.strip),
-    "n_list": _split(int),
-    "alpha": float,
-    "theta_grid": _split(float),
-    "mu": float,
-    "tau2_list": _split(float),
-    "replications": int,
-    "seed": int,
-    "population": str,
+    name: _split(_PARSERS[get_args(kind)[0]]) if get_origin(kind) is tuple
+    else _PARSERS[kind]
+    for name, kind in get_type_hints(simulate.SimConfig).items()
 }
 
 

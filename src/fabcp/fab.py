@@ -71,8 +71,7 @@ def _reflect(
     ``precision + 2`` must not round to 2).
 
     A float ``y`` gives a float. An array ``y`` gives its reflection in ``out`` when
-    given, which must have the dtype numpy promotes ``y``, ``sums``, ``mu`` and
-    ``precision`` to, or else in a new array of ``y``'s dtype.
+    given, or else in a new array.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -85,8 +84,7 @@ def _reflect(
         raise ValueError("the diffuse prior requires n >= 2, and n = 1 needs 1/tau2 + 2 > 2; "
                          f"got n = {n}, precision = {precision}")
     # (A - c * y) / (c - 2) for A = 2 * (mu * precision + sums), in place and bit for bit:
-    # negation is exact, and A + (-x) is A - x. A float32 y is multiplied in float32 even
-    # into a float64 ``out``, as ``c * y`` is.
+    # negation is exact, and A + (-x) is A - x.
     r = (-c) * y if out is None else np.multiply(y, -c, out)
     r += 2.0 * (mu * precision + sums)
     r /= c - 2.0
@@ -100,9 +98,9 @@ def reflect_bounds(
 
     Parameters
     ----------
-    samples : ndarray, shape (rows, n)
+    samples : float64 ndarray, shape (rows, n)
         One sample per row.
-    sums : float or ndarray, shape (rows, 1)
+    sums : float or float64 ndarray, shape (rows, 1)
         The row sums of ``samples``, as the caller computes them.
     mu, precision : float
         Prior mean and prior precision ``1/tau2`` (0: the diffuse, distance-to-average
@@ -114,19 +112,18 @@ def reflect_bounds(
 
     Returns
     -------
-    ndarray, shape (rows, 2)
+    float64 ndarray, shape (rows, 2)
         The k-th and (2n-k+1)-th order statistics of ``{y_i} U {g(y_i)}``
         per row; ``-inf``/``+inf`` rows when ``k = 0``. A new array, not a
         view: it holds ``2 * rows`` values, not the sorted ``(rows, 2n)`` pool.
 
     Notes
     -----
-    The pool is one ``(rows, 2n)`` buffer: the samples are copied into its
-    first half, their reflections written into its second half, and it is
-    sorted in place. It holds the values of ``concatenate([samples, g])`` in
-    that order and in the dtype numpy gives that concatenation, so the sort
-    gives the same bits, signed zeros included. Its size is the call's peak
-    beyond the inputs: twice the samples' bytes.
+    The pool is one float64 ``(rows, 2n)`` buffer: the samples are copied
+    into its first half, their reflections written into its second half, and
+    it is sorted in place. It holds the values of ``concatenate([samples, g])``
+    in that order, so the sort gives the same bits, signed zeros included.
+    Its size is the call's peak beyond the inputs: twice the samples' bytes.
     """
     rows, n = samples.shape
     if not 0 <= k <= n:
@@ -136,12 +133,7 @@ def reflect_bounds(
         # k = 0 accepts the whole real line; reflecting a scalar checks the prior.
         _reflect(0.0, 0.0, n, mu, precision)
         return np.full((rows, 2), (-np.inf, np.inf))
-    # The dtype numpy gives the concatenation of the samples and their reflection. A Python
-    # float takes a float array's dtype, so the one-sample path makes no numpy call here.
-    dtype = samples.dtype
-    if not (type(sums) is type(mu) is type(precision) is float and dtype.kind == "f"):
-        dtype = np.result_type(samples, sums, mu, precision)
-    v = np.empty((rows, 2 * n), dtype)
+    v = np.empty((rows, 2 * n))
     v[:, :n] = samples
     _reflect(samples, sums, n, mu, precision, out=v[:, n:])
     v.sort(axis=1)

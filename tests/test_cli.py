@@ -189,6 +189,17 @@ class TestPredict:
         message = "error: --tau2 must be large enough that 1/tau2 is finite, got 1e-320\n"
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("prior", [("--tau2", "0.5"), ("--precision", "2")], ids=["tau2", "precision"])
+    def test_dta_rejects_a_prior_flag(self, tmp_path, capsys, prior):
+        """DTA reads no prior; the run used to exit 0 and ignore the flag."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), *prior, "--mu", "9", "--alpha", "0.4",
+            "--method", "dta",
+        )
+        assert (code, out, err) == (1, "", f"error: {prior[0]} cannot be given with --method dta\n")
+
     @pytest.mark.parametrize("precision", ["inf", "nan"])
     def test_non_finite_precision_names_the_flag(self, tmp_path, capsys, precision):
         """inf said "precision must be finite and nonnegative, got inf", naming no flag."""
@@ -544,6 +555,21 @@ class TestSmallArea:
         )
         assert code == 3
         assert "rank deficient" in err
+
+    def test_rank_deficient_covariates_do_not_stop_dta(self, tmp_path, capsys):
+        """DTA reads no covariate; a duplicated cov1 column used to exit 3 all the same."""
+        prefix = tmp_path / "map"
+        assert main(["gen-data", "--J", "8", "--seed", "2", "--out-prefix", str(prefix)]) == 0
+        areas = tmp_path / "map_areas.csv"
+        rows = [line.split(",") for line in areas.read_text().splitlines()]
+        areas.write_text("".join(",".join(r + [r[-1] if i else "cov2"]) + "\n" for i, r in enumerate(rows)))
+        argv = ["small-area", "--areas", str(areas), "--samples", str(tmp_path / "map_samples.csv")]
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, "error: covariate matrix is rank deficient\n")
+        code, out, err = run_cli(capsys, *argv, "--method", "dta")
+        assert (code, err) == (0, "")
+        records = list(csv.DictReader(out.splitlines()))
+        assert len(records) == 8 and {r["method"] for r in records} == {"dta"}
 
 
 class TestSimulateCommand:

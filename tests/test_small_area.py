@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fabcp import small_area
 from fabcp.small_area import (
@@ -991,6 +993,48 @@ def _degenerate_map(seed: int, case: str) -> AreaTable:
 
 _needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
                                  reason="areas are shared out only where the process can fork")
+
+
+@st.composite
+def _map_and_replacement(draw):
+    """A small map with some n_j = 1 areas, an area j with n_j >= 2, and a new sample for j."""
+    J = draw(st.integers(4, 12))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=J, max_size=J))
+    single, j = draw(st.lists(st.integers(0, J - 1), min_size=2, max_size=2, unique=True))
+    sizes[single] = 1
+    sizes[j] = max(sizes[j], 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = rng.uniform(0.0, draw(st.floats(0.5, 4.0)), size=(J, 2))
+    X = np.column_stack([np.ones(J), rng.normal(size=J)])
+    theta = X @ [1.0, 0.5] + rng.normal(scale=0.7, size=J)
+    table = AreaTable(ids=[f"a{i}" for i in range(J)], X=X, centroids=centroids,
+                      samples=[theta[i] + rng.normal(size=n) for i, n in enumerate(sizes)])
+    m = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["normal", "ties", "constant"]))
+    base = {"normal": rng.normal(size=m), "ties": rng.integers(0, 3, size=m) * 1.0,
+            "constant": np.full(m, rng.normal())}[kind]
+    y = draw(st.floats(-1e6, 1e6)) + 10.0 ** draw(st.floats(-3.0, 3.0)) * base
+    return table, j, y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_map_and_replacement())
+def test_area_prior_does_not_see_its_own_sample(pin_cpus, case):
+    """The coverage guarantee: area j's prior is fitted without y_j, so no y_j can move it."""
+    table, j, y = case
+    replaced = AreaTable(ids=table.ids, X=table.X, centroids=table.centroids,
+                         samples=[y if i == j else s for i, s in enumerate(table.samples)])
+
+    def prior_bits(table):
+        (rec,) = [r for r in area_pipeline(table, "exact") if r.area_id == table.ids[j]]
+        return rec.mu_j.hex(), rec.tau2_j.hex(), rec.fallback
+
+    pin_cpus(1)
+    want = prior_bits(table)
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        assert prior_bits(replaced) == want
 
 
 class TestSharedAreas:
