@@ -6,10 +6,12 @@ input data, such as a non-numeric or non-finite field (reported with a
 line number), an input with no data rows, or finite sample values whose
 sum overflows (two values of 1e308 in one sample), 3 rank-deficient
 covariate matrix (only when ``small-area`` fits FAB; DTA reads no
-covariate). ``predict --method dta`` takes neither ``--tau2`` nor
-``--precision``. Every error is one ``error:`` line on stderr, and a
-failed run leaves its output paths as they were. Rows whose fields are
-all blank are skipped in every input CSV.
+covariate). DTA reads no prior and no covariate, so ``predict --method
+dta`` takes none of ``--mu``, ``--tau2`` and ``--precision``, and
+``small-area --method dta`` takes no ``--standardize``. Every error is one
+``error:`` line on stderr, and a failed run leaves its output paths as
+they were. Rows whose fields are all blank are skipped in every input
+CSV.
 
 Every CSV is read and written by the ``csv`` module: a field is quoted
 only where CSV needs it, such as an area id holding a comma or a double
@@ -222,8 +224,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.method == "dta" and precision is not None:
         flag = "--precision" if args.tau2 is None else "--tau2"
         raise ValueError(f"{flag} cannot be given with --method dta")
-    # DTA is the FAB interval with zero prior precision
-    mu, precision = (args.mu, precision) if args.method == "fab" else (0.0, 0.0)
+    if args.method == "dta" and args.mu is not None:
+        raise ValueError("--mu cannot be given with --method dta")
+    mu = 0.0 if args.mu is None else args.mu
+    if args.method == "dta":
+        precision = 0.0  # DTA is the FAB interval with zero prior precision
 
     # An overflowing endpoint raises one ValueError; numpy's warnings on the way say no more.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,6 +264,8 @@ def _cmd_small_area(args: argparse.Namespace) -> int:
         alpha_mode = 0.25 if args.alpha is None else args.alpha
         if not 0.0 < alpha_mode < 1.0:
             raise ValueError(f"--alpha must be in (0, 1), got {alpha_mode!r}")
+    if args.method == "dta" and args.standardize:
+        raise ValueError("--standardize cannot be given with --method dta")
     table = load_area_table(args.areas, args.samples, standardize=args.standardize)
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
     # Only the FAB prior's mean model reads the covariates.
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="prediction interval for one sample CSV")
     p.add_argument("--input", required=True, help="CSV with a single 'value' column")
-    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--mu", type=float, default=None, help="prior mean of --method fab (default 0)")
     p.add_argument("--tau2", type=float, default=None)
     p.add_argument("--precision", type=float, default=None,
                    help="prior precision 1/tau2; 0 selects the diffuse prior")

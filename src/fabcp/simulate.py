@@ -3,12 +3,14 @@
 Stream layout: each cell draws from one counter-based Philox stream keyed
 by ``(seed, cell index)``. A replication that takes ``m`` uniforms owns a
 block of ``32 * ceil(m / 32)`` draws, the stride, at offset ``rep * stride``,
-so the blocks of a cell are disjoint at any sample size. A cell draws its
-``reps x stride`` uniforms in one call and uses the first ``m`` of each
-row; :func:`replication_stream` replays one row on its own. Normals come
-from the inverse CDF, one uniform per draw. A seed must lie in
-``[0, 2**64)``, the width of a Philox key word, so no two seeds share a
-stream.
+so the blocks of a cell are disjoint at any sample size. A cell runs its
+replications ``_BLOCK_REPS`` at a time: for each such run it moves the
+stream to the run's first replication, draws the run's ``reps x stride``
+uniforms in one call and uses the first ``m`` of each row, so the draws do
+not depend on where the runs split; :func:`replication_stream` replays one
+row on its own. Normals come from the inverse CDF, one uniform per draw.
+A seed must lie in ``[0, 2**64)``, the width of a Philox key word, so no
+two seeds share a stream.
 
 Each experiment is a list of cells and a draw rule; cell i draws from
 stream ``(seed, i)``. Cells run n first, then tau2, then theta. A cell
@@ -55,6 +57,12 @@ _METHODS = ("fab", "dta", "pivot_z", "pivot_t", "eb")
 
 _U_LO = 2.0**-53
 _U_HI = 1.0 - 2.0**-53
+
+# Replications a cell runs at once. A block's uniforms take 1 MB when a replication
+# takes at most 32, and its draws and (reps, 2n) pool 1.9 MB at n = 19. Each block
+# also pays the row kernels' fixed cost (10-30 us per method), so on mc_sweep blocks
+# of 1024 and 2048 ran slower than one block per cell, and blocks of 4096 faster.
+_BLOCK_REPS = 4096
 
 
 @dataclass(frozen=True)
@@ -184,17 +192,22 @@ def _stride(m: int) -> int:
     return 32 * -(-m // 32)
 
 
-def replication_stream(seed: int, cell: int, rep: int, m: int) -> Generator:
-    """The stream of one replication of a cell whose replications take ``m`` draws."""
+def _philox_at(seed: int, cell: int, rep: int, m: int) -> Philox:
+    """The cell's Philox stream, moved to the block of replication ``rep``."""
     bg = Philox(key=_philox_key(seed, cell))
     bg.advance(rep * (_stride(m) // 4))
-    return Generator(bg)
+    return bg
 
 
-def _cell_uniforms(seed: int, cell: int, reps: int, m: int) -> np.ndarray:
-    """First ``m`` uniforms of every replication stream of a cell, vectorized."""
+def replication_stream(seed: int, cell: int, rep: int, m: int) -> Generator:
+    """The stream of one replication of a cell whose replications take ``m`` draws."""
+    return Generator(_philox_at(seed, cell, rep, m))
+
+
+def _cell_uniforms(seed: int, cell: int, reps: int, m: int, first: int = 0) -> np.ndarray:
+    """First ``m`` uniforms of replication streams ``first`` to ``first + reps - 1``, vectorized."""
     stride = _stride(m)
-    buf = Generator(Philox(key=_philox_key(seed, cell))).random(reps * stride)
+    buf = Generator(_philox_at(seed, cell, first, m)).random(reps * stride)
     return buf.reshape(reps, stride)[:, :m]
 
 
@@ -318,29 +331,47 @@ def _sweep(
     ``(seed, i)``; ``draw(config, u, tau2, theta)`` turns them into one row
     of draws per replication. A draw past the first n is the next
     observation, and the rows then carry coverage. ``endpoints`` adds the
-    mean interval endpoints. The cells are dealt over the CPUs of the
-    process's affinity mask (:func:`fabcp._fork.deal`) and their rows put
-    back in cell order, so the report does not depend on how many CPUs
-    ran it. A cell that raises stops the sweep with the error of the
-    first such cell in cell order.
+    mean interval endpoints. A cell runs ``_BLOCK_REPS`` replications at a
+    time and keeps only what its statistics read: each replication's width
+    per method, 8 bytes, plus its coverage hit and, under ``endpoints``,
+    both endpoints; the statistics are taken once, over every replication,
+    so a report does not depend on the block size. The cells are dealt
+    over the CPUs of the process's affinity mask
+    (:func:`fabcp._fork.deal`) and their rows put back in cell order, so
+    the report does not depend on how many CPUs ran it. A cell that
+    raises stops the sweep with the error of the first such cell in cell
+    order.
     """
     def cell_rows(cell: int) -> list[SimRow]:
         n, tau2, theta = cells[cell]
-        u = _cell_uniforms(config.seed, cell, config.replications, n + extra)
-        draws = draw(config, u, tau2, theta)
-        samples, y_next = draws[:, :n], (draws[:, n] if draws.shape[1] > n else None)
+        reps = config.replications
+        widths = {method: np.empty(reps) for method in config.methods}
+        hits: dict[str, np.ndarray] = {}
+        ends = {method: np.empty((reps, 2)) for method in config.methods} if endpoints else {}
+        for first in range(0, reps, _BLOCK_REPS):
+            block = slice(first, min(first + _BLOCK_REPS, reps))
+            u = _cell_uniforms(config.seed, cell, block.stop - first, n + extra, first)
+            draws = draw(config, u, tau2, theta)
+            samples, y_next = draws[:, :n], (draws[:, n] if draws.shape[1] > n else None)
+            for method in config.methods:
+                bounds = _method_bounds(method, samples, config.alpha, config.mu, tau2)
+                lower, upper = bounds.T
+                np.subtract(upper, lower, out=widths[method][block])
+                if y_next is not None:
+                    if method not in hits:
+                        hits[method] = np.empty(reps, dtype=bool)
+                    hits[method][block] = (lower <= y_next) & (y_next <= upper)
+                if endpoints:
+                    ends[method][block] = bounds
         base = SimRow(method="", n=n, theta_minus_mu=theta - config.mu, tau2=tau2, seed=config.seed)
         rows = []
-        widths: dict[str, np.ndarray] = {}
         for method in config.methods:
-            lower, upper = _method_bounds(method, samples, config.alpha, config.mu, tau2).T
-            widths[method] = upper - lower
             mean, se, n_inf = _width_stats(widths[method])
             stats = dict(mean_width=mean, width_se=se, inf_width_count=n_inf)
-            if y_next is not None:
-                hit = (lower <= y_next) & (y_next <= upper)
-                stats["coverage"], stats["coverage_se"] = _coverage_stats(hit)
+            if method in hits:
+                stats["coverage"], stats["coverage_se"] = _coverage_stats(hits[method])
             if endpoints:
+                lower, upper = ends[method].T
                 stats["mean_lower"], stats["mean_upper"] = _fmean(lower), _fmean(upper)
             rows.append(replace(base, method=method, **stats))
         if ratio and "fab" in widths and "dta" in widths:

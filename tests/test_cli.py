@@ -200,6 +200,16 @@ class TestPredict:
         )
         assert (code, out, err) == (1, "", f"error: {prior[0]} cannot be given with --method dta\n")
 
+    @pytest.mark.parametrize("mu", ["9", "0"])
+    def test_dta_rejects_mu(self, tmp_path, capsys, mu):
+        """DTA reads no prior mean; the run used to exit 0 and ignore --mu, even at 9."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.0, 3.0])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--mu", mu, "--alpha", "0.4", "--method", "dta",
+        )
+        assert (code, out, err) == (1, "", "error: --mu cannot be given with --method dta\n")
+
     @pytest.mark.parametrize("precision", ["inf", "nan"])
     def test_non_finite_precision_names_the_flag(self, tmp_path, capsys, precision):
         """inf said "precision must be finite and nonnegative, got inf", naming no flag."""
@@ -570,6 +580,21 @@ class TestSmallArea:
         assert (code, err) == (0, "")
         records = list(csv.DictReader(out.splitlines()))
         assert len(records) == 8 and {r["method"] for r in records} == {"dta"}
+
+    def test_dta_rejects_standardize(self, dataset, tmp_path, capsys, monkeypatch):
+        """DTA reads no covariate; the run used to exit 0 with the bytes of a run without the flag."""
+        monkeypatch.setattr(cli, "area_pipeline", _no_fit)
+        areas, samples = dataset
+        keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
+        keep.write_text("previous results\n")
+        for path in (keep, new):
+            code, out, err = run_cli(
+                capsys, "small-area", "--areas", areas, "--samples", samples, "--method", "dta",
+                "--standardize", "--output", str(path),
+            )
+            assert (code, out, err) == (1, "", "error: --standardize cannot be given with --method dta\n")
+        assert keep.read_text() == "previous results\n"
+        assert not new.exists()
 
 
 class TestSimulateCommand:

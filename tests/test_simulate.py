@@ -49,6 +49,8 @@ class TestStreams:
         assert u.shape == (50, m)
         for rep in (0, 1, 17, 49):
             np.testing.assert_array_equal(u[rep], replication_stream(4, 2, rep, m).random(m))
+        for first in (1, 7, 17, 49):
+            np.testing.assert_array_equal(_cell_uniforms(4, 2, 50 - first, m, first=first), u[first:])
 
     def test_distinct_cells_and_reps_decorrelated(self):
         a = _cell_uniforms(1, 0, 100, 8)
@@ -319,6 +321,38 @@ class TestCpuCount:
             assert ", in method_bounds\n" in notes[0]
         else:
             assert notes == []
+
+
+class TestBlocks:
+    """A cell runs its replications in blocks of ``_BLOCK_REPS``; no report may show where they split."""
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: expected_width(_BLOCK_GRID),
+        lambda: coverage_experiment(_BLOCK_GRID),
+        lambda: bayes_risk_ratio((3, 40), (0.5, 2.0), 0.25, 50, 4),
+        lambda: bounds_profile(_BLOCK_GRID),
+    ], ids=["expected_width", "coverage", "bayes_risk", "bounds"])
+    def test_block_size_is_invisible(self, one_cpu, monkeypatch, tmp_path, experiment):
+        """Blocks of 1, 7 (a partial last block) and more than the 50 replications; n = 40 strides 64."""
+        csvs = []
+        for block in (1, 7, 51):
+            monkeypatch.setattr("fabcp.simulate._BLOCK_REPS", block)
+            experiment().to_csv(str(tmp_path / "report.csv"))
+            csvs.append((tmp_path / "report.csv").read_bytes())
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+    @pytest.mark.parametrize("experiment", [coverage_experiment, expected_width, bounds_profile])
+    def test_cell_keeps_about_its_statistics(self, one_cpu, traced_peak, experiment):
+        """One 50 000-replication cell held every replication's uniforms, draws and pools: 38 MB."""
+        config = SimConfig(methods=("fab", "dta", "pivot_z", "pivot_t", "eb"), n_list=(19,),
+                           replications=50_000, seed=3)
+        report, peak = traced_peak(lambda: experiment(config))
+        assert len(report.rows) >= 5
+        assert peak <= 12e6
+
+
+_BLOCK_GRID = SimConfig(methods=("fab", "dta", "pivot_z", "pivot_t", "eb"), n_list=(3, 40),
+                        theta_grid=(0.0, 1.0), tau2_list=(0.5, math.inf), replications=50, seed=4)
 
 
 class TestReportSerialization:
