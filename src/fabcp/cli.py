@@ -1,25 +1,25 @@
 """Command line interface: prediction, small-area runs, sweeps, data generation.
 
-Exit codes: 0 success, 1 invalid flags (an input path that cannot be read,
-or an output path that cannot be written, counts as one), 2 malformed
-input data, such as a non-numeric or non-finite field (reported with a
-line number), an input with no data rows, or finite sample values whose
-sum overflows (two values of 1e308 in one sample), 3 rank-deficient
-covariate matrix (only when ``small-area`` fits FAB; DTA reads no
-covariate). DTA reads no prior and no covariate, so ``predict --method
-dta`` takes none of ``--mu``, ``--tau2`` and ``--precision``, and
-``small-area --method dta`` takes no ``--standardize``. Every error is one
-``error:`` line on stderr, and a failed run leaves its output paths as
-they were. Rows whose fields are all blank are skipped in every input
-CSV.
+Exit codes: 0 success; 1 a bad flag, or a path that cannot be read or written;
+2 malformed input data (non-finite or non-numeric fields, no data rows, sample
+sums that overflow); 3 a rank-deficient covariate matrix when small-area fits
+FAB. Each error is one "error:" line on stderr. Flags are checked before any
+data is read, and a failed run leaves its output paths as they were.
 
-Every CSV is read and written by the ``csv`` module: a field is quoted
-only where CSV needs it, such as an area id holding a comma or a double
-quote, and such an id reads back as one field. ``small-area`` takes
-``--alpha`` (default 0.25) only under ``--alpha-mode fixed``; with
-``exact``, or outside (0, 1), it is exit 1 before any fit.
-``simulate --experiment bayes-risk`` takes ``methods`` only as fab,dta,
-``population`` only as normal and ``theta_grid`` only as 0.
+Flag rules; a flag that the chosen mode does not read may not be given:
+  predict     --alpha in (0, 1); --mu finite; --tau2 > 0, 1/tau2 finite;
+              --precision finite, >= 0; --method fab takes --tau2 or
+              --precision, not both; --method dta takes no --tau2,
+              --precision or --mu; --precision 0 and --tau2 inf take no --mu
+  small-area  --alpha in (0, 1), default 0.25; --alpha-mode exact takes no
+              --alpha; --method dta takes no --standardize
+  gen-data    --seed >= 0; --n-min >= 1; --n-max >= --n-min; --J >= 2;
+              --rho in (-1, 1); --eta2 finite, >= 0; --a, --b finite, > 0;
+              --beta two finite numbers, comma-separated
+  simulate    bayes-risk takes methods only as fab,dta, population only as
+              normal and theta_grid only as 0
+
+All-blank input rows are skipped; a CSV field is quoted only where needed.
 """
 
 from __future__ import annotations
@@ -202,34 +202,10 @@ def load_area_table(areas_path: str, samples_path: str, standardize: bool = Fals
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha!r}")
     sample = load_value_csv(args.input)
-    precision = args.precision
-    if precision is not None and args.tau2 is not None:
-        raise ValueError("--tau2 and --precision cannot both be given")
-    if precision is not None:
-        if not math.isfinite(precision):
-            raise ValueError(f"--precision must be finite, got {precision!r}")
-        if precision < 0:
-            raise ValueError("--precision must be nonnegative")
-    elif args.tau2 is not None:
-        if not args.tau2 > 0:
-            raise ValueError("--tau2 must be positive")
-        precision = 1.0 / args.tau2
-        if math.isinf(precision):
-            raise ValueError(f"--tau2 must be large enough that 1/tau2 is finite, got {args.tau2!r}")
-    elif args.method == "fab":
-        raise ValueError("--method fab needs --tau2 or --precision")
-    if args.method == "dta" and precision is not None:
-        flag = "--precision" if args.tau2 is None else "--tau2"
-        raise ValueError(f"{flag} cannot be given with --method dta")
-    if args.method == "dta" and args.mu is not None:
-        raise ValueError("--mu cannot be given with --method dta")
     mu = 0.0 if args.mu is None else args.mu
-    if args.method == "dta":
-        precision = 0.0  # DTA is the FAB interval with zero prior precision
-
+    # DTA is the FAB interval with zero prior precision.
+    precision = 0.0 if args.method == "dta" else args.precision if args.tau2 is None else 1.0 / args.tau2
     # An overflowing endpoint raises one ValueError; numpy's warnings on the way say no more.
     with np.errstate(over="ignore", invalid="ignore"):
         interval = fab_interval_from_precision(sample, mu, precision, args.alpha)
@@ -256,17 +232,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_small_area(args: argparse.Namespace) -> int:
-    if args.alpha_mode == "exact":
-        if args.alpha is not None:
-            raise ValueError("--alpha cannot be given with --alpha-mode exact")
-        alpha_mode: float | str = "exact"
-    else:
-        alpha_mode = 0.25 if args.alpha is None else args.alpha
-        if not 0.0 < alpha_mode < 1.0:
-            raise ValueError(f"--alpha must be in (0, 1), got {alpha_mode!r}")
-    if args.method == "dta" and args.standardize:
-        raise ValueError("--standardize cannot be given with --method dta")
-    table = load_area_table(args.areas, args.samples, standardize=args.standardize)
+    alpha_mode = "exact" if args.alpha_mode == "exact" else 0.25 if args.alpha is None else args.alpha
+    table = load_area_table(args.areas, args.samples, standardize=bool(args.standardize))
     methods = ("fab", "dta") if args.method == "both" else (args.method,)
     # Only the FAB prior's mean model reads the covariates.
     if "fab" in methods and np.linalg.matrix_rank(table.X) < table.X.shape[1]:
@@ -294,8 +261,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise CSVFormatError(path, line_no, "expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _SIM_FIELDS:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in out:
+                raise CSVFormatError(path, line_no, f"duplicate key {key!r}")
+            out[key] = value
     return out
 
 
@@ -317,9 +288,6 @@ _SIM_FIELDS = {
 def _sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     """Precedence: command-line flag > config-file entry > SimConfig default."""
     texts = _read_config_file(args.config) if args.config else {}
-    for key in texts:
-        if key not in _SIM_FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
     texts.update((key, getattr(args, key)) for key in _SIM_FIELDS if getattr(args, key) is not None)
     values = {f.name: f.default for f in dataclasses.fields(simulate.SimConfig)}
     for key, text in texts.items():
@@ -358,43 +326,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-    if args.n_min < 1:
-        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
-    if args.n_max < args.n_min:
-        raise ValueError(f"--n-max {args.n_max} is below --n-min {args.n_min}")
-    if args.J < 2:
-        raise ValueError(f"--J must be at least 2, got {args.J}")
-    if not -1.0 < args.rho < 1.0:
-        raise ValueError(f"--rho must be in (-1, 1), got {args.rho!r}")
-    if not 0.0 <= args.eta2 < math.inf:
-        raise ValueError(f"--eta2 must be finite and nonnegative, got {args.eta2!r}")
-    for flag, value in (("--a", args.a), ("--b", args.b)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{flag} must be finite and positive, got {value!r}")
-    try:
-        beta = _split(float)(args.beta)
-    except ValueError:
-        beta = ()
-    if len(beta) != 2:
-        raise ValueError(f"--beta must be two comma-separated numbers, got {args.beta!r}")
-    if not all(map(math.isfinite, beta)):
-        raise ValueError(f"--beta must be two finite numbers, got {args.beta!r}")
     paths = [f"{args.out_prefix}_{name}" for name in ("areas.csv", "samples.csv", "truth.json")]
     for path in paths:
         _check_output(path)  # one unwritable path fails the run before any file is written
     areas_path, samples_path, truth_path = paths
-    rng = np.random.default_rng(args.seed)
     table, truth = generate_table(
-        J=args.J,
-        n_range=(args.n_min, args.n_max),
-        beta=beta,
-        eta2=args.eta2,
-        rho=args.rho,
-        a=args.a,
-        b=args.b,
-        rng=rng,
+        J=args.J, n_range=(args.n_min, args.n_max), beta=_split(float)(args.beta), eta2=args.eta2,
+        rho=args.rho, a=args.a, b=args.b, rng=np.random.default_rng(args.seed),
     )
     with _open_output(areas_path) as fh:
         fh.write("area_id,cx,cy,cov1\n")
@@ -414,8 +352,67 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _must(flag: str, test, rule: str):
+    """Value rule: a given ``flag`` passes ``test``; a test that raises ValueError fails."""
+    def check(args):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        with contextlib.suppress(ValueError):
+            if value is None or test(value):
+                return None
+        return f"{flag} must be {rule}, got {value!r}"
+    return check
+
+
+def _unread(mode: str, value, *flags: str):
+    """Mode rule: ``mode value`` reads none of ``flags``, so none of them may be given."""
+    def check(args):
+        given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+        if getattr(args, mode[2:].replace("-", "_")) == value and given:
+            return f"{given[0]} cannot be given with {mode} {value}"
+    return check
+
+
+# Each command's flag rules in the order main checks them; the first one broken is the error. Value
+# rules, then rules over several flags, then mode rules, but --alpha-mode exact names a given --alpha
+# before its range. SimConfig and _cmd_simulate check simulate's settings, which a file can give.
+_FLAG_RULES = {
+    "predict": (
+        _must("--alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        _must("--mu", math.isfinite, "finite"),
+        _must("--tau2", lambda v: v > 0.0, "positive"),
+        _must("--tau2", lambda v: 1.0 / v < math.inf, "large enough that 1/tau2 is finite"),
+        _must("--precision", math.isfinite, "finite"),
+        _must("--precision", lambda v: v >= 0.0, "nonnegative"),
+        lambda a: ("--tau2 and --precision cannot both be given"
+                   if a.tau2 is not None and a.precision is not None else None),
+        lambda a: ("--method fab needs --tau2 or --precision"
+                   if a.method == "fab" and a.tau2 is None and a.precision is None else None),
+        _unread("--method", "dta", "--tau2", "--precision", "--mu"),
+        _unread("--precision", 0, "--mu"),
+        _unread("--tau2", math.inf, "--mu"),
+    ),
+    "small-area": (
+        _unread("--alpha-mode", "exact", "--alpha"),
+        _must("--alpha", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+        _unread("--method", "dta", "--standardize"),
+    ),
+    "gen-data": (
+        _must("--seed", lambda v: v >= 0, "a nonnegative integer"),
+        _must("--n-min", lambda v: v >= 1, "at least 1"),
+        _must("--J", lambda v: v >= 2, "at least 2"),
+        _must("--rho", lambda v: -1.0 < v < 1.0, "in (-1, 1)"),
+        _must("--eta2", lambda v: 0.0 <= v < math.inf, "finite and nonnegative"),
+        _must("--a", lambda v: 0.0 < v < math.inf, "finite and positive"),
+        _must("--b", lambda v: 0.0 < v < math.inf, "finite and positive"),
+        _must("--beta", lambda v: len(_split(float)(v)) == 2, "two comma-separated numbers"),
+        _must("--beta", lambda v: all(map(math.isfinite, _split(float)(v))), "two finite numbers"),
+        lambda a: f"--n-max {a.n_max} is below --n-min {a.n_min}" if a.n_max < a.n_min else None,
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fabcp", description=__doc__)
+    parser = _Parser(prog="fabcp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("predict", help="prediction interval for one sample CSV")
@@ -431,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("small-area", help="leave-one-area-out intervals per area")
     p.add_argument("--areas", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="error rate in (0, 1) of every area under --alpha-mode fixed "
-                   "(default 0.25); not allowed with --alpha-mode exact")
+    p.add_argument("--alpha", type=float, help="each area's error rate in --alpha-mode fixed (default 0.25)")
     p.add_argument("--alpha-mode", choices=("fixed", "exact"), default="fixed",
                    help="exact: each area's alpha_j = floor((n_j+1)/3)/(n_j+1)")
     p.add_argument("--method", choices=("fab", "dta", "both"), default="both")
-    p.add_argument("--standardize", action="store_true",
+    p.add_argument("--standardize", action="store_true", default=None,
                    help="center and scale covariate columns before fitting")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_small_area)
@@ -470,9 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for rule in _FLAG_RULES.get(args.command, ()):
+            message = rule(args)
+            if message:
+                raise ValueError(message)
         return args.func(args)
     except CSVFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,11 +83,11 @@ def _reflect(
     if not c - 2.0 > 0.0:
         raise ValueError("the diffuse prior requires n >= 2, and n = 1 needs 1/tau2 + 2 > 2; "
                          f"got n = {n}, precision = {precision}")
-    # (A - c * y) / (c - 2) for A = 2 * (mu * precision + sums), in place and bit for bit:
-    # negation is exact, and A + (-x) is A - x.
+    # (A - c * y) / (c - 2) for A = 2 * (mu * precision + sums), in place and bit for bit: negation
+    # is exact, and A + (-x) is A - x. At n = 1, c - 2 is precision, which c - 2.0 would round.
     r = (-c) * y if out is None else np.multiply(y, -c, out)
     r += 2.0 * (mu * precision + sums)
-    r /= c - 2.0
+    r /= c - 2.0 if n > 1 else precision
     return r
 
 

@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -152,7 +155,7 @@ class TestPredict:
             capsys, "predict", "--input", str(f), "--tau2", "nan", "--alpha", "0.25",
             "--method", method,
         )
-        assert (code, out, err) == (1, "", "error: --tau2 must be positive\n")
+        assert (code, out, err) == (1, "", "error: --tau2 must be positive, got nan\n")
 
     @pytest.mark.parametrize("prior", [("--precision", "0"), ("--tau2", "1")])
     def test_non_finite_mu_exits_one(self, tmp_path, capsys, prior):
@@ -209,6 +212,17 @@ class TestPredict:
             capsys, "predict", "--input", str(f), "--mu", mu, "--alpha", "0.4", "--method", "dta",
         )
         assert (code, out, err) == (1, "", "error: --mu cannot be given with --method dta\n")
+
+    @pytest.mark.parametrize("mu", ["9", "0"])
+    @pytest.mark.parametrize("prior", [("--precision", "0"), ("--tau2", "inf")], ids=["precision", "tau2"])
+    def test_diffuse_prior_rejects_mu(self, tmp_path, capsys, prior, mu):
+        """The diffuse prior reads no prior mean; the run used to print the DTA bytes, even at 9."""
+        f = tmp_path / "s.csv"
+        write_values(f, [1.0, 2.5, 4.0, 0.5])
+        code, out, err = run_cli(
+            capsys, "predict", "--input", str(f), "--method", "fab", *prior, "--mu", mu, "--alpha", "0.4",
+        )
+        assert (code, out, err) == (1, "", f"error: --mu cannot be given with {' '.join(prior)}\n")
 
     @pytest.mark.parametrize("precision", ["inf", "nan"])
     def test_non_finite_precision_names_the_flag(self, tmp_path, capsys, precision):
@@ -621,6 +635,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "unknown config key" in err
 
+    def test_repeated_config_key_names_its_line(self, tmp_path, capsys):
+        """The last value won without a word: alpha=0.1 then alpha=0.3 ran at 0.3, with exit 0."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha=0.1\nseed=2\n alpha = 0.3\n")
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--experiment", "coverage", "--config", str(cfg), "--output", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"error: {cfg}:3: duplicate key 'alpha'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("methods", [(), ("--methods", "eb")], ids=["default", "eb"])
     def test_overflowing_prior_term_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, methods):
         """This failed in the first cell, with the fab or eb kernel's message naming neither flag."""
@@ -894,7 +919,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
         want = (2, f"{samples}:1: area 'area003' has no samples")
     elif case == "negative_precision":
         argv = ["predict", "--input", str(values), "--precision", "-1", "--alpha", "0.25"]
-        want = (1, "--precision must be nonnegative")
+        want = (1, "--precision must be nonnegative, got -1.0")
     else:
         cfg.write_text("seed=1\nn_list 3\n")
         argv = ["simulate", "--experiment", "coverage", "--config", str(cfg),
@@ -1000,3 +1025,162 @@ def test_help_prints_usage(capsys, command):
     out, err = capsys.readouterr()
     assert (excinfo.value.code, err) == (0, "")
     assert out.startswith(" ".join(["usage: fabcp", *command]) + " ")
+
+
+# -- every flag of every command ----------------------------------------------------
+
+# Each command's flags: (valid alternatives, bad value). A run takes the first alternative
+# that differs from the value its mode gives the flag, and True stands for a bare flag.
+# "{...}" names a file of the ``flag_files`` fixture, the run's output directory "{out}",
+# or "{missing}", a directory that does not exist.
+_FLAG_VALUES = {
+    "predict": {
+        "--input": (("{sample2}",), "{missing}/s.csv"),
+        "--mu": (("9",), "nan"),
+        "--tau2": (("2",), "-1"),
+        "--precision": (("5",), "-1"),
+        "--alpha": (("0.25",), "7"),
+        "--method": (("dta", "fab"), "spline"),
+    },
+    "small-area": {
+        "--areas": (("{areas_reversed}",), "{missing}/a.csv"),
+        "--samples": (("{samples2}",), "{missing}/s.csv"),
+        "--alpha": (("0.4",), "0"),
+        "--alpha-mode": (("exact", "fixed"), "loose"),
+        "--method": (("fab", "both"), "spline"),
+        "--standardize": ((True,), "yes"),
+        "--output": (("{out}/other.csv",), "{missing}/o.csv"),
+    },
+    "simulate": {
+        "--experiment": (("coverage", "bounds"), "spline"),
+        "--config": (("{config}",), "{missing}/c.cfg"),
+        "--methods": (("dta",), "spline"),
+        "--n-list": (("4",), "0"),
+        "--alpha": (("0.5",), "2"),  # at n = 3, 0.4 gives the default's k
+        "--theta-grid": (("1",), "inf"),
+        "--mu": (("0.3",), "nan"),
+        "--tau2-list": (("2",), ","),
+        "--replications": (("100",), "0"),
+        "--seed": (("3",), "-1"),
+        "--population": (("mixture",), "uniform"),
+        "--output": (("{out}/other.csv",), "{missing}/o.csv"),
+    },
+    "gen-data": {
+        "--J": (("9",), "1"),
+        "--n-min": (("2",), "0"),
+        "--n-max": (("12",), "2"),
+        "--beta": (("1,0.5",), "abc"),
+        "--eta2": (("1",), "-1"),
+        "--rho": (("0.2",), "1"),
+        "--a": (("3",), "0"),
+        "--b": (("2",), "nan"),
+        "--seed": (("4",), "-1"),
+        "--out-prefix": (("{out}/e",), "{missing}/d"),
+    },
+}
+
+# An error names a path flag by the path, and a simulate setting by its key, the name the
+# config file gives it too.
+_PATH_FLAGS = {"--input", "--areas", "--samples", "--config", "--output", "--out-prefix"}
+
+_PREDICT = {"--input": "{sample}", "--alpha": "0.4"}
+_FLAG_MODES = {
+    "predict-fab-tau2": ("predict", {**_PREDICT, "--mu": "0.3", "--tau2": "0.5"}),
+    "predict-fab-precision": ("predict", {**_PREDICT, "--mu": "0.3", "--precision": "2"}),
+    "predict-fab-precision-0": ("predict", {**_PREDICT, "--precision": "0"}),
+    "predict-fab-tau2-inf": ("predict", {**_PREDICT, "--tau2": "inf"}),
+    "predict-dta": ("predict", {**_PREDICT, "--method": "dta"}),
+    **{f"small-area-{alpha_mode}-{method}": ("small-area", {
+        "--areas": "{areas}", "--samples": "{samples}", "--alpha-mode": alpha_mode,
+        "--method": method, "--output": "{out}/result.csv",
+    }) for alpha_mode in ("fixed", "exact") for method in ("fab", "dta", "both")},
+    **{f"simulate-{experiment}": ("simulate", {
+        "--experiment": experiment, "--replications": "200", "--output": "{out}/result.csv",
+    }) for experiment in ("expected-width", "coverage", "bayes-risk", "bounds")},
+    "gen-data": ("gen-data", {"--J": "8", "--seed": "3", "--out-prefix": "{out}/d"}),
+}
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    """Inputs for every mode: the J = 8 map, a second map, and a sample and a config file."""
+    root = tmp_path_factory.mktemp("flags")
+    for seed in (3, 4):
+        assert main(["gen-data", "--J", "8", "--seed", str(seed), "--out-prefix", f"{root}/m{seed}"]) == 0
+    lines = (root / "m3_areas.csv").read_text().splitlines(keepends=True)
+    (root / "reversed_areas.csv").write_text(lines[0] + "".join(reversed(lines[1:])))
+    write_values(root / "s.csv", [1.0, 2.5, 4.0, 0.5])
+    write_values(root / "s2.csv", [1.0, 2.5, 4.0, 0.7])
+    (root / "sweep.cfg").write_text("seed=3\n")
+    files = {
+        "areas": "m3_areas.csv", "samples": "m3_samples.csv", "areas_reversed": "reversed_areas.csv",
+        "samples2": "m4_samples.csv", "sample": "s.csv", "sample2": "s2.csv", "config": "sweep.cfg",
+    }
+    return {key: str(root / name) for key, name in files.items()} | {"missing": str(root / "missing")}
+
+
+def _parser_flags():
+    """Each command's flags with their defaults, read from the parser's own actions."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        command: {a.option_strings[0]: a.default for a in sub._actions if a.dest != "help"}
+        for command, sub in commands.items()
+    }
+
+
+def test_flag_table_covers_every_flag_and_mode():
+    flags = _parser_flags()
+    assert {command: set(table) for command, table in _FLAG_VALUES.items()} == {
+        command: set(table) for command, table in flags.items()
+    }
+    assert {command for command, _ in _FLAG_MODES.values()} == set(flags)
+
+
+@pytest.mark.parametrize("mode", list(_FLAG_MODES))
+def test_every_flag_is_read_or_rejected(mode, flag_files, tmp_path, capsys, one_cpu):
+    """In each mode, each flag's bad value is one error line naming it, with the outputs left
+    as they were; a different valid value changes the output or is such an error too."""
+    command, base = _FLAG_MODES[mode]
+    defaults = _parser_flags()[command]
+    runs = itertools.count()
+
+    def run(flags):
+        out = tmp_path / f"run{next(runs)}"
+        out.mkdir()
+        for name in ("result.csv", "d_areas.csv"):
+            (out / name).write_text("previous results\n")
+        texts = {flag: value if value is True else value.format(out=out, **flag_files)
+                 for flag, value in flags.items()}
+        argv = [flag if text is True else f"{flag}={text}" for flag, text in texts.items()]
+        try:
+            code = main([command, *argv])
+        except SystemExit as exc:
+            code = exc.code
+        stdout, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return code, stdout, err, files, texts
+
+    code, stdout, err, files, _ = run(base)
+    assert (code, err) == (0, "")
+    want = [stdout, err, files]
+    kept = {"result.csv": b"previous results\n", "d_areas.csv": b"previous results\n"}
+    problems = []
+    for flag, (alternatives, bad) in _FLAG_VALUES[command].items():
+        current = base.get(flag, defaults[flag])
+        alternative = next(v for v in alternatives if str(v) != str(current))
+        key = flag[2:].replace("-", "_")
+        name = key if command == "simulate" and key in cli._SIM_FIELDS else flag
+        for value in (bad, alternative):
+            code, stdout, err, files, texts = run({**base, flag: value})
+            if value is alternative and code == 0:
+                if [stdout, err, files] == want:
+                    problems.append(f"{flag} {value!r}: ignored, with exit 0")
+                continue
+            named = (texts[flag] in err if flag in _PATH_FLAGS
+                     else re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err))
+            if (code, stdout, err.count("\n")) != (1, "", 1) or not err.startswith("error: ") or not named:
+                problems.append(f"{flag} {value!r}: exit {code}, {err!r}")
+            elif files != kept:
+                problems.append(f"{flag} {value!r}: the outputs changed")
+    assert not problems, "\n".join(problems)

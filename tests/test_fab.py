@@ -1,6 +1,7 @@
 """Tests for the exact FAB interval and its reflection geometry."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,6 +219,70 @@ def _assert_kernel_matches_scalar(samples, mu, precision, alpha):
         if precision == 0.0:
             dta = dta_interval(row, alpha)
             assert _bits(lo, hi) == _bits(dta.lower, dta.upper)
+
+
+def _exact_bounds(y, mu, precision, k):
+    """The k-th and (2n-k+1)-th order statistics of the exact pooled reflections of the float
+    inputs, and the size max(|A|, |c*y|)/(c - 2) of the terms that cancel in them."""
+    ys = [Fraction(v) for v in y]
+    n, p = len(ys), Fraction(precision)
+    c = p + n + 1
+    a = 2 * (Fraction(mu) * p + sum(ys))
+    pool = sorted(ys + [(a - c * v) / (c - 2) for v in ys])
+    return pool[k - 1], pool[2 * n - k], max([abs(a)] + [abs(c * v) for v in ys]) / (c - 2)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A sample, a prior and a rank k >= 1: scales 1e-3 to 1e6, shifts to 1e8, rounded ties,
+    signed zeros, huge |mu| under tight priors, and n = 1 with a precision near 0. A nonzero
+    value is at least 2**-20 of its scale, so no product underflows into subnormals."""
+    units = st.integers(-2**20, 2**20).map(lambda i: i / 2**20)
+    n = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    shift = draw(st.sampled_from([0.0, -0.0, 1.0, -2.5e3, 1e8]))
+    us = draw(st.lists(units, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        us = [round(u, 1) for u in us]  # ties
+    if draw(st.booleans()):
+        us = [-0.0 if u == 0.0 else u for u in us]
+    y = [shift + scale * u if shift else scale * u for u in us]
+    precision = draw(st.one_of(
+        st.sampled_from([0.0, 1e-12, 1e4]), st.floats(1e-12, 1e-6), st.floats(1e-6, 1e4),
+    ))
+    if n == 1 and precision < 1e-12:
+        precision = 1e-12  # the diffuse prior needs n >= 2
+    mu = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, -1e8, 1e8]),
+        st.builds(lambda u, e: u * 10.0 ** e, units, st.integers(-3, 8)),
+    ))
+    return y, mu, precision, draw(st.integers(1, n))
+
+
+class TestExactArithmetic:
+    """Each endpoint is within 32 ulp of the size of the terms that cancel in it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=_kernel_cases())
+    def test_endpoints_match_exact_order_statistics(self, case):
+        y, mu, precision, k = case
+        n = len(y)
+        alpha = (k + 0.5) / (n + 1)  # floor(alpha * (n + 1)) = k
+        fab = fab_interval_from_precision(y, mu, precision, alpha)
+        assert fab.k == k
+        checks = [
+            ("reflect_bounds", reflect_bounds(np.array([y]), math.fsum(y), mu, precision, k)[0].tolist(),
+             mu, precision),
+            ("fab_interval_from_precision", (fab.lower, fab.upper), mu, precision),
+        ]
+        if n >= 2:  # the diffuse prior needs n >= 2
+            dta = dta_interval(y, alpha)
+            checks.append(("dta_interval", (dta.lower, dta.upper), 0.0, 0.0))
+        for name, got, m, p in checks:
+            lo, hi, size = _exact_bounds(y, m, p, k)
+            tol = 32 * Fraction(math.ulp(float(size)))
+            for end, want in zip(got, (lo, hi)):
+                assert abs(Fraction(end) - want) <= tol, (name, float(want), end)
 
 
 class TestReflectBounds:
